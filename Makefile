@@ -43,7 +43,9 @@ staticcheck:
 # pool, the fault injector, the journal, the event engine — which also
 # guards the hot path's 0 allocs/op via
 # TestEngineScheduleIsAllocationFree — and the serving daemon) plus the
-# channel-parallel determinism gate in internal/core, and finally the
+# channel-parallel determinism gate in internal/core, then the two
+# paper-fidelity gates -short skips (byte-identical golden figures and
+# the refresh-degradation shape, ~90 s together), and finally the
 # daemon smoke drill: the real binary on an ephemeral port, /healthz, a
 # figure round-trip through the cache, and a SIGTERM drain to exit 0.
 ci:
@@ -53,6 +55,7 @@ ci:
 	$(GO) test -short ./...
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
 	$(GO) test -race -timeout 10m -run 'TestChannelParallel' ./internal/core/
+	$(GO) test -timeout 20m -run '^(TestGoldenFigures|TestRefreshDegradationShape)$$' ./internal/harness/ ./internal/core/
 	$(GO) test -count=1 -run 'TestDaemonSmoke' ./cmd/refschedd/
 
 # The overload/chaos drill (see EXPERIMENTS.md "Soak drill"): refload

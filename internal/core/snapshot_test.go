@@ -11,6 +11,7 @@ import (
 
 	"refsched/internal/config"
 	"refsched/internal/sim"
+	"refsched/internal/workload"
 )
 
 func reportBytes(t *testing.T, rep *Report) []byte {
@@ -199,6 +200,64 @@ func TestResumeWithFurtherCheckpoints(t *testing.T) {
 	}
 	if got := reportBytes(t, rep); !bytes.Equal(got, ref) {
 		t.Fatalf("twice-resumed run diverged:\n%s\nvs\n%s", got, ref)
+	}
+}
+
+// TestResumeFromQuietController checkpoints a contended 4-core cell at
+// a boundary where its memory controller is quiet: its last issue pass
+// rejected every queued request and nothing has changed since, so its
+// next wakeup would skip re-planning. The quiet state is derived, not
+// checkpointed, so the restored controller re-plans on that wakeup
+// instead; the resumed report must still match the uninterrupted run
+// byte for byte.
+func TestResumeFromQuietController(t *testing.T) {
+	cfg := testConfig(config.Density32Gb, config.RefreshAllBank)
+	cfg.Cores = 4
+	mix := workload.MixFor(workload.Table2()[7], cfg.Cores, 2) // WL-8
+	w := cfg.TREFW()
+	warmup, measure := w/2, w
+	build := func() *System {
+		sys, err := Build(cfg, mix, Options{FootprintScale: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	rep, err := build().Run(warmup, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := reportBytes(t, rep)
+
+	sys := build()
+	var quiet *SystemState
+	_, err = sys.RunPreemptible(warmup, measure, 997, func(capture func() (*SystemState, error)) error {
+		if quiet != nil || !sys.MCs[0].Quiet() {
+			return nil
+		}
+		st, err := capture()
+		quiet = st
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quiet == nil {
+		t.Fatal("no checkpoint boundary found the controller quiet")
+	}
+	rsys, err := Restore(codecRoundTrip(t, quiet), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rsys.MCs[0].Quiet() {
+		t.Fatal("restored controller kept a quiet state it cannot have derived")
+	}
+	rrep, err := rsys.Resume(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reportBytes(t, rrep); !bytes.Equal(got, ref) {
+		t.Fatalf("resume from quiet controller (cycle %d) diverged:\n%s\nvs\n%s", quiet.Cycle(), got, ref)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"refsched/internal/timeline"
 )
 
-// promptWindowFactor bounds how far into the future the controller will
+// promptWindow bounds how far into the future the controller will
 // pre-commit a command sequence: a pick is only committed if its data
 // burst begins within this many cycles of the decision point. Larger
 // values pipeline more aggressively but make FR-FCFS decisions stale.
@@ -57,6 +57,19 @@ type Controller struct {
 	// earliestRetry exactly when re-evaluating becomes useful (without
 	// it, a saturated bus degenerates into per-cycle queue rescans).
 	minRejectedStart sim.Time
+
+	// Quiet state (derived, never checkpointed). A pass that issues
+	// nothing leaves the controller quiet until quietUntil: while dirty
+	// stays false — no submit, commit, refresh tick or restore since —
+	// every re-plan before then repeats the same rejections (see
+	// DESIGN.md §13), so a wakeup skips pick. passMinStart and
+	// passRefreshEnd are the latest pass's earliest rejected start
+	// (unlike minRejectedStart, not accumulated across the passes of one
+	// tryIssue) and earliest refresh end among refresh-blocked requests.
+	dirty          bool
+	quietUntil     sim.Time
+	passMinStart   sim.Time
+	passRefreshEnd sim.Time
 
 	// Read-queue back-pressure waiters, FIFO: rejected requests
 	// resubmitted (in arrival order) as slots free. Holding the requests
@@ -150,6 +163,7 @@ func (c *Controller) SubmitRead(r *Request) bool {
 	c.trackOcc()
 	c.readQ = append(c.readQ, r)
 	c.perBankQueued[r.Coord.GlobalBank(c.ch.BanksPerRank)]++
+	c.dirty = true
 	c.kick()
 	return true
 }
@@ -171,6 +185,7 @@ func (c *Controller) SubmitWrite(r *Request) bool {
 		c.draining = true
 		c.Stats.WriteDrains++
 	}
+	c.dirty = true
 	c.kick()
 	return true
 }
@@ -228,6 +243,7 @@ func (c *Controller) trackOcc() {
 // --- refresh execution ---
 
 func (c *Controller) refreshTick() {
+	c.dirty = true
 	now := c.eng.Now()
 	t := c.policy.Next(now, c)
 	c.PolicyStats.Observe(t)
@@ -300,10 +316,21 @@ func (c *Controller) scheduleIssue(t sim.Time) {
 
 func (c *Controller) tryIssue() {
 	// This event may be stale (a newer one was requested); only the
-	// earliest matters, so clear the flag and re-evaluate from scratch.
+	// earliest matters, so clear the flag and re-evaluate from scratch
+	// unless the controller is quiet.
 	c.issuePending = false
-	c.minRejectedStart = 0
 	now := c.eng.Now()
+	c.Stats.IssueWakeups++
+	if c.Quiet() {
+		// A re-plan would repeat the last pass's rejections; reschedule
+		// exactly as it would. No pass has run since, so passMinStart is
+		// still that pass's bound.
+		c.minRejectedStart = c.passMinStart
+		c.scheduleIssue(c.earliestRetry(now))
+		return
+	}
+	c.Stats.IssueEvals++
+	c.minRejectedStart = 0
 
 	for {
 		q := c.pickQueue()
@@ -312,6 +339,7 @@ func (c *Controller) tryIssue() {
 		}
 		idx, plan := c.pick(*q, now)
 		if idx < 0 {
+			c.enterQuiet()
 			// Nothing can start promptly; retry when resources free.
 			c.scheduleIssue(c.earliestRetry(now))
 			return
@@ -320,6 +348,30 @@ func (c *Controller) tryIssue() {
 		c.issue(req, plan, q, idx, now)
 	}
 }
+
+// enterQuiet records the quiet state after a pass that issued nothing.
+// Every plan's start is max(now, C) with C fixed by bank, bus and row
+// state, so until the earliest rejected start comes within the prompt
+// window or the earliest refresh-blocked request's refresh ends, an
+// unchanged controller rejects exactly what it just rejected. Pausing
+// policies never go quiet: RequestPause is asked again on every look
+// at a blocked request.
+func (c *Controller) enterQuiet() {
+	if c.pauser != nil {
+		return
+	}
+	until := c.passRefreshEnd
+	if c.passMinStart > 0 && (until == 0 || c.passMinStart-promptWindow < until) {
+		until = c.passMinStart - promptWindow
+	}
+	c.dirty = false
+	c.quietUntil = until
+}
+
+// Quiet reports whether the next wakeup would skip re-planning: nothing
+// has changed since the last pass that issued nothing, and that pass's
+// rejections still hold.
+func (c *Controller) Quiet() bool { return !c.dirty && c.eng.Now() < c.quietUntil }
 
 // pickQueue selects which queue FR-FCFS draws from: writes while
 // draining (or when there is nothing else to do), reads otherwise.
@@ -344,6 +396,7 @@ func (c *Controller) pickQueue() *[]*Request {
 // accepted only if it can start promptly. Under the FCFS ablation only
 // the oldest request is considered.
 func (c *Controller) pick(q []*Request, now sim.Time) (int, dram.AccessPlan) {
+	c.passMinStart, c.passRefreshEnd = 0, 0
 	if c.cfg.FCFS {
 		if plan, ok := c.promptPlan(q[0], now); ok {
 			return 0, plan
@@ -397,10 +450,13 @@ func (c *Controller) promptPlan(r *Request, now sim.Time) (dram.AccessPlan, bool
 			}
 			// Fall through: the bank frees after the pause penalty.
 		} else {
+			until := bank.RowRefreshUntil(r.Coord.Row)
+			if c.passRefreshEnd == 0 || until < c.passRefreshEnd {
+				c.passRefreshEnd = until
+			}
 			if !r.Write && !r.RefreshStalled {
 				r.RefreshStalled = true
 				c.Stats.RefreshStalledReads++
-				until := bank.RowRefreshUntil(r.Coord.Row)
 				c.Stats.RefreshStallCycles += uint64(until - now)
 				if c.tl != nil {
 					c.tl.Emit(timeline.Event{Ph: timeline.PhaseSpan,
@@ -419,6 +475,9 @@ func (c *Controller) promptPlan(r *Request, now sim.Time) (dram.AccessPlan, bool
 	if plan.Start > now+promptWindow {
 		if c.minRejectedStart == 0 || plan.Start < c.minRejectedStart {
 			c.minRejectedStart = plan.Start
+		}
+		if c.passMinStart == 0 || plan.Start < c.passMinStart {
+			c.passMinStart = plan.Start
 		}
 		return dram.AccessPlan{}, false
 	}
@@ -467,6 +526,7 @@ func (c *Controller) earliestRetry(now sim.Time) sim.Time {
 // issue commits the plan and schedules completion.
 func (c *Controller) issue(r *Request, plan dram.AccessPlan, q *[]*Request, idx int, now sim.Time) {
 	c.ch.Commit(r.Coord, plan)
+	c.dirty = true
 	r.IssueAt = plan.Start
 	r.FinishAt = plan.DataEnd
 	if !r.Write {

@@ -79,6 +79,12 @@ type Stats struct {
 	// queue (back-pressure events).
 	QueueFullReadStalls  uint64
 	QueueFullWriteStalls uint64
+
+	// IssueWakeups counts try-issue events handled; IssueEvals counts
+	// those that re-planned the queue rather than skipping a re-plan
+	// that could not change anything (the quiet state, see tryIssue).
+	IssueWakeups uint64
+	IssueEvals   uint64
 }
 
 // AvgReadLatency returns mean read latency in cycles.

@@ -104,7 +104,8 @@ func (c *Controller) State() ControllerState {
 
 // SetState restores the controller from a checkpoint taken on an
 // identically configured controller. perBankQueued is derived state and
-// is recomputed from the restored read queue.
+// is recomputed from the restored read queue; the quiet state is
+// derived too and is invalidated, so the next wakeup re-plans.
 func (c *Controller) SetState(st ControllerState) {
 	c.readQ = unpackRequests(st.ReadQ)
 	c.writeQ = unpackRequests(st.WriteQ)
@@ -117,6 +118,7 @@ func (c *Controller) SetState(st ControllerState) {
 		c.perBankQueued[r.Coord.GlobalBank(c.ch.BanksPerRank)]++
 	}
 	c.draining = st.Draining
+	c.dirty = true
 	c.issuePending = st.IssuePending
 	c.issueAt = st.IssueAt
 	c.minRejectedStart = st.MinRejectedStart
