@@ -38,23 +38,24 @@ staticcheck:
 		echo "staticcheck unavailable (offline?); skipping"; \
 	fi
 
-# The merge gate: build, vet, staticcheck, the short test suite, then
-# the race detector over the concurrency-bearing packages (the worker
-# pool, the fault injector, the journal, the event engine — which also
-# guards the hot path's 0 allocs/op via
-# TestEngineScheduleIsAllocationFree — and the serving daemon) plus the
-# channel-parallel determinism gate in internal/core, then the two
-# paper-fidelity gates -short skips (byte-identical golden figures and
-# the refresh-degradation shape, ~90 s together), and finally the
-# daemon smoke drill: the real binary on an ephemeral port, /healthz, a
-# figure round-trip through the cache, and a SIGTERM drain to exit 0.
+# The merge gate: build, vet, a gofmt check over every tracked Go file,
+# staticcheck, the short test suite, then the race detector over the
+# concurrency-bearing packages (the worker pool, the fault injector,
+# the journal, the event engine — which also guards the hot path's 0
+# allocs/op via TestEngineScheduleIsAllocationFree — and the serving
+# daemon), then the two paper-fidelity gates -short skips
+# (byte-identical golden figures and the refresh-degradation shape,
+# ~90 s together), and finally the daemon smoke drill: the real binary
+# on an ephemeral port, /healthz, a figure round-trip through the
+# cache, and a SIGTERM drain to exit 0.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(MAKE) staticcheck
 	$(GO) test -short ./...
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
-	$(GO) test -race -timeout 10m -run 'TestChannelParallel' ./internal/core/
 	$(GO) test -timeout 20m -run '^(TestGoldenFigures|TestRefreshDegradationShape)$$' ./internal/harness/ ./internal/core/
 	$(GO) test -count=1 -run 'TestDaemonSmoke' ./cmd/refschedd/
 

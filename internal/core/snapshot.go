@@ -77,8 +77,8 @@ func eager(fn CheckpointFn) BoundaryFn {
 
 // captureState flattens the whole machine into a SystemState. It fails
 // when any pending engine event is a closure (a layer that forgot to
-// reify an event type), when parallel execution is enabled, or when a
-// task's workload generator is not checkpointable.
+// reify an event type), when a trace or timeline is attached, or when
+// a task's workload generator is not checkpointable.
 func (s *System) captureState(warmup, measure uint64, pastWarmup bool, warmSnap metrics.Snapshot) (*SystemState, error) {
 	if s.observed {
 		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
@@ -119,12 +119,8 @@ func (s *System) captureState(warmup, measure uint64, pastWarmup bool, warmSnap 
 // Restore rebuilds a System from a checkpoint. The machine is
 // reconstructed from the snapshot's own config and mix (opt may supply
 // a cancellation context; its FootprintScale and Seed are overridden by
-// the snapshot's, and ChannelParallel is rejected — a restored event
-// population is serial). Call Resume on the result to continue the run.
+// the snapshot's). Call Resume on the result to continue the run.
 func Restore(st *SystemState, opt Options) (*System, error) {
-	if opt.ChannelParallel {
-		return nil, sim.ErrParallelSnapshot
-	}
 	opt.FootprintScale = st.FootprintScale
 	opt.Seed = 0 // st.Cfg already carries the effective seed
 	s, err := Build(st.Cfg, st.Mix, opt)
@@ -184,7 +180,6 @@ func (s *System) RunCheckpointed(warmup, measure, every uint64, fn CheckpointFn)
 		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
 	}
 	s.started = true
-	defer s.Eng.Close()
 	defer s.recoverFault(&rep, &err)
 	s.Kernel.Start()
 	return s.drive(warmup, measure, every, eager(fn))
@@ -205,7 +200,6 @@ func (s *System) RunPreemptible(warmup, measure, every uint64, fn BoundaryFn) (r
 		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
 	}
 	s.started = true
-	defer s.Eng.Close()
 	defer s.recoverFault(&rep, &err)
 	s.Kernel.Start()
 	return s.drive(warmup, measure, every, fn)
@@ -229,7 +223,6 @@ func (s *System) ResumePreemptible(every uint64, fn BoundaryFn) (rep *Report, er
 		return nil, fmt.Errorf("core: system already run")
 	}
 	s.started = true
-	defer s.Eng.Close()
 	defer s.recoverFault(&rep, &err)
 	// No Kernel.Start: the restored event population already contains
 	// the in-flight dispatch chain.

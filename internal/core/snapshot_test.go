@@ -55,9 +55,10 @@ func codecRoundTrip(t *testing.T, st *SystemState) *SystemState {
 // snapshot stack: a run that checkpoints periodically produces the
 // byte-identical report of an uncheckpointed run, and resuming from any
 // checkpoint — including ones taken mid-quantum and mid-refresh — again
-// produces the byte-identical report. Both the refresh-oblivious
-// baseline and the full co-design machine (CFS + refresh-aware
-// scheduling + per-bank-sequenced refresh) are covered.
+// produces the byte-identical report. The refresh-oblivious baseline,
+// the full co-design machine (CFS + refresh-aware scheduling +
+// per-bank-sequenced refresh), and a two-channel machine (two
+// controllers interleaving events on one engine) are covered.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -69,6 +70,11 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			cfg.OS.Alloc = config.AllocSoftPartition
 			cfg.OS.Scheduler = config.SchedCFS
 			cfg.OS.RefreshAware = true
+			return cfg
+		}()},
+		{"multichannel-2ch", func() config.System {
+			cfg := testConfig(config.Density8Gb, config.RefreshPerBankRR)
+			cfg.Mem.Channels = 2
 			return cfg
 		}()},
 	}
@@ -87,9 +93,28 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			// cadence, so checkpoints land mid-quantum (and, with
 			// enough samples, mid-refresh).
 			every := cfg.Timeslice() + cfg.Timeslice()/3 + 7
-			var snaps []*SystemState
+			// Classify snapshots as they arrive — mid-quantum (a core is
+			// executing a task) and mid-refresh (a bank's refresh end
+			// lies in the future) — keeping only the first of each and
+			// the last, since a whole machine snapshot is large.
+			var n int
+			var midQuantum, midRefresh, last *SystemState
 			rep, err := sys.RunCheckpointed(warmup, measure, every, func(st *SystemState) error {
-				snaps = append(snaps, st)
+				n++
+				last = st
+				cyc := sim.Time(st.Cycle())
+				for _, c := range st.Cores {
+					if c.TaskID >= 0 && !c.Idle && midQuantum == nil {
+						midQuantum = st
+					}
+				}
+				for _, ch := range st.Chans {
+					for _, b := range ch.Banks {
+						if b.RefUntil > cyc && midRefresh == nil {
+							midRefresh = st
+						}
+					}
+				}
 				return nil
 			})
 			if err != nil {
@@ -98,38 +123,18 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			if got := reportBytes(t, rep); !bytes.Equal(got, ref) {
 				t.Fatalf("checkpointed run diverged from reference:\n%s\nvs\n%s", got, ref)
 			}
-			if len(snaps) < 3 {
-				t.Fatalf("only %d checkpoints taken", len(snaps))
+			if n < 3 {
+				t.Fatalf("only %d checkpoints taken", n)
 			}
-
-			// Classify snapshots: mid-quantum (a core is executing a
-			// task) and mid-refresh (a bank's refresh end lies in the
-			// future).
-			midQuantum, midRefresh := -1, -1
-			for i, st := range snaps {
-				cyc := sim.Time(st.Cycle())
-				for _, c := range st.Cores {
-					if c.TaskID >= 0 && !c.Idle && midQuantum < 0 {
-						midQuantum = i
-					}
-				}
-				for _, ch := range st.Chans {
-					for _, b := range ch.Banks {
-						if b.RefUntil > cyc && midRefresh < 0 {
-							midRefresh = i
-						}
-					}
-				}
-			}
-			if midQuantum < 0 {
+			if midQuantum == nil {
 				t.Fatal("no checkpoint caught a core mid-quantum")
 			}
-			if midRefresh < 0 {
+			if midRefresh == nil {
 				t.Fatal("no checkpoint caught a bank mid-refresh")
 			}
 
-			resume := func(i int) {
-				st := codecRoundTrip(t, snaps[i])
+			resume := func(snap *SystemState) {
+				st := codecRoundTrip(t, snap)
 				rsys, err := Restore(st, Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -139,13 +144,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := reportBytes(t, rrep); !bytes.Equal(got, ref) {
-					t.Fatalf("resume from checkpoint %d (cycle %d) diverged:\n%s\nvs\n%s",
-						i, snaps[i].Cycle(), got, ref)
+					t.Fatalf("resume from checkpoint at cycle %d diverged:\n%s\nvs\n%s",
+						snap.Cycle(), got, ref)
 				}
 			}
 			resume(midQuantum)
 			resume(midRefresh)
-			resume(len(snaps) - 1)
+			resume(last)
 		})
 	}
 }
@@ -261,17 +266,10 @@ func TestResumeFromQuietController(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusals covers the typed refusal paths: parallel
-// execution and attached observers cannot checkpoint.
+// TestSnapshotRefusals covers the observer refusal path: a system with
+// a timeline attached cannot checkpoint, because the recorder's state
+// is not serialized.
 func TestSnapshotRefusals(t *testing.T) {
-	cfg := testConfig(config.Density8Gb, config.RefreshAllBank)
-	cfg.Mem.Channels = 2
-
-	st := &SystemState{Cfg: cfg, Mix: testMix(), FootprintScale: 0.01}
-	if _, err := Restore(st, Options{ChannelParallel: true}); !errors.Is(err, sim.ErrParallelSnapshot) {
-		t.Fatalf("parallel restore err = %v", err)
-	}
-
 	sys, err := Build(testConfig(config.Density8Gb, config.RefreshAllBank), testMix(), Options{FootprintScale: 0.01})
 	if err != nil {
 		t.Fatal(err)

@@ -33,14 +33,6 @@ type Options struct {
 	FootprintScale float64
 	// Seed overrides cfg.Seed when non-zero.
 	Seed uint64
-	// ChannelParallel opts into executing same-cycle memory-controller
-	// events of different channels on worker goroutines. Output is
-	// byte-identical to serial execution (see internal/sim's parallel
-	// determinism notes); only wall-clock changes. A no-op for
-	// single-channel configs, and disabled automatically when a trace
-	// or timeline recorder is attached (those observers are shared
-	// mutable state on the controller's accept path).
-	ChannelParallel bool
 	// Ctx, when non-nil, hard-cancels a running simulation: the engine
 	// checks it at cooperative checkpoints (every cancelCheckCycles of
 	// simulated time) and a cancelled or expired context aborts the run
@@ -106,9 +98,6 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 	}
 
 	s := &System{Cfg: cfg, Eng: sim.NewEngine(), Mix: mix, footprintScale: opt.FootprintScale}
-	if opt.ChannelParallel {
-		s.Eng.EnableParallel(cfg.Mem.Channels) // no-op unless Channels >= 2
-	}
 	if ctx := opt.Ctx; ctx != nil {
 		s.Eng.SetCheckpoint(cancelCheckCycles, ctx.Err)
 	}
@@ -142,9 +131,7 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 			planner = p
 		}
 		s.Chans = append(s.Chans, channel)
-		// Domain ch+1 tags the controller's internal events with its
-		// channel affinity (inert unless ChannelParallel is set).
-		s.MCs = append(s.MCs, mc.New(s.Eng.Domain(ch+1), channel, cfg.Mem, pol))
+		s.MCs = append(s.MCs, mc.New(s.Eng, channel, cfg.Mem, pol))
 	}
 
 	// Cores with private cache stacks.
@@ -278,9 +265,6 @@ func (s *System) AttachTrace(w io.Writer) (*trace.Recorder, error) {
 	if s.started {
 		return nil, fmt.Errorf("core: cannot attach a trace after Run")
 	}
-	// The tracer is shared mutable state on every controller's accept
-	// path; fall back to serial execution.
-	s.Eng.Close()
 	s.observed = true
 	rec := trace.NewRecorder(w)
 	for _, c := range s.MCs {
@@ -302,9 +286,6 @@ func (s *System) AttachTimeline(w io.Writer) (*timeline.Recorder, error) {
 	if s.started {
 		return nil, fmt.Errorf("core: cannot attach a timeline after Run")
 	}
-	// The recorder is shared mutable state on the controllers' refresh
-	// and stall paths; fall back to serial execution.
-	s.Eng.Close()
 	s.observed = true
 	rec := timeline.NewRecorder(w, 0)
 	rec.SetProcessName(timeline.PidCPU, "cpu")
@@ -359,7 +340,6 @@ func (s *System) Run(warmup, measure uint64) (rep *Report, err error) {
 		return nil, fmt.Errorf("core: restored system must Resume, not Run")
 	}
 	s.started = true
-	defer s.Eng.Close() // release parallel workers, if any
 	defer func() {
 		if p := recover(); p != nil {
 			f, ok := p.(sim.Fault)

@@ -22,18 +22,12 @@ const starvationAge = 4000
 // single queued request before it gets absolute priority.
 const maxBypasses = 8
 
-// Controller is the per-channel memory controller.
-//
-// All controller-internal events (issue re-evaluation, refresh ticks)
-// schedule through a sim.Domain handle, tagging them with the channel's
-// affinity domain: they touch only channel-local state (this struct,
-// its dram.Channel, its stats), so a multi-channel system can opt into
-// executing same-cycle events of different channels in parallel (see
-// sim.Engine.EnableParallel) with byte-identical results. Completion
-// callbacks re-enter the cores and are scheduled through the handle's
-// shared (serial) path.
+// Controller is the per-channel memory controller. Its internal events
+// (issue re-evaluation, refresh ticks) and request completions are
+// typed payloads on the shared engine, routed back by the system's
+// dispatcher.
 type Controller struct {
-	eng     *sim.Domain
+	eng     *sim.Engine
 	ch      *dram.Channel
 	cfg     config.MemConfig
 	policy  refresh.Scheduler
@@ -100,9 +94,8 @@ type Controller struct {
 }
 
 // New builds a controller for channel ch using the given refresh
-// policy, scheduling through the given affinity-domain handle
-// (typically eng.Domain(channel+1); see Controller).
-func New(eng *sim.Domain, ch *dram.Channel, cfg config.MemConfig, policy refresh.Scheduler) *Controller {
+// policy, scheduling its events on eng.
+func New(eng *sim.Engine, ch *dram.Channel, cfg config.MemConfig, policy refresh.Scheduler) *Controller {
 	c := &Controller{
 		eng:           eng,
 		ch:            ch,
@@ -540,15 +533,14 @@ func (c *Controller) issue(r *Request, plan dram.AccessPlan, q *[]*Request, idx 
 	}
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
 
-	// Completion re-enters the issuing core (shared state), so it must
-	// run serially even when channel events execute in parallel. Unowned
-	// completions (posted writes) still execute — as no-ops — so the
-	// event population matches the closure implementation exactly.
+	// Completion re-enters the issuing core. Unowned completions
+	// (posted writes) still execute — as no-ops — so the event
+	// population matches the closure implementation exactly.
 	var owner uint64
 	if r.Owner.Valid {
 		owner = uint64(r.Owner.Core) + 1
 	}
-	c.eng.SchedulePSharedAt(plan.DataEnd, sim.Payload{
+	c.eng.SchedulePAt(plan.DataEnd, sim.Payload{
 		Kind: sim.KindMCComplete, A: uint64(c.ch.ID),
 		B: owner, C: r.Owner.Miss, D: r.Owner.Epoch,
 	})

@@ -35,7 +35,7 @@ func newRig(t *testing.T, pol config.RefreshPolicy) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wireRig(&rig{eng: eng, ch: ch, mc: New(eng.Domain(1), ch, cfg.Mem, p),
+	return wireRig(&rig{eng: eng, ch: ch, mc: New(eng, ch, cfg.Mem, p),
 		tm: tm, cfg: cfg})
 }
 

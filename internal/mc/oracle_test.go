@@ -83,7 +83,7 @@ func newOracleRig(t *testing.T, cfg config.System, pol config.RefreshPolicy, rep
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &oracleRig{eng: eng, ch: ch, mc: New(eng.Domain(1), ch, cfg.Mem, p)}
+	r := &oracleRig{eng: eng, ch: ch, mc: New(eng, ch, cfg.Mem, p)}
 	eng.SetExec(func(pl sim.Payload) {
 		switch pl.Kind {
 		case sim.KindMCComplete:

@@ -239,7 +239,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, ri reqInfo, m c
 	s.clusterTL.Emit(timeline.Event{Ph: timeline.PhaseSpan,
 		Ts: ts, Dur: s.clusterSinceUS(time.Now()) - ts,
 		Pid: tlPidService, Tid: tlTidRequests,
-		Name: "forward " + r.Method + " " + r.URL.Path,
+		Name:     "forward " + r.Method + " " + r.URL.Path,
 		Arg1Name: "status", Arg1: int64(resp.StatusCode),
 		StrName: "peer", Str: m.ID})
 	return true

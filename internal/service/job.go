@@ -255,10 +255,10 @@ type job struct {
 	// from its furthest checkpoint. Nil for approx-mode jobs.
 	snaps *cellStore
 
-	mu         sync.Mutex
-	state      JobState
-	started    time.Time
-	finished   time.Time
+	mu       sync.Mutex
+	state    JobState
+	started  time.Time
+	finished time.Time
 	// softCancel/hardCancel abort the in-flight run (armed by execute
 	// for the duration of the run). Soft lets in-flight cells finish;
 	// hard aborts them at the next engine checkpoint and interrupts
@@ -280,12 +280,12 @@ type job struct {
 	// the job WAL, so finishing must append the matching done record.
 	walAccepted bool
 	err         error
-	failures   []*runner.CellError
-	body       []byte
-	cacheHit   bool
-	deduped    int
-	cellsDone  int
-	cellsTotal int
+	failures    []*runner.CellError
+	body        []byte
+	cacheHit    bool
+	deduped     int
+	cellsDone   int
+	cellsTotal  int
 	// lanes allocates cell-span tracks: a cell holds one lane for its
 	// whole run, so per-lane timestamps are naturally monotone.
 	lanes []bool

@@ -2,10 +2,12 @@
 // other subsystem: a global cycle clock, an event queue, and deterministic
 // pseudo-random streams.
 //
-// All simulated time is expressed in CPU cycles (uint64). Components
-// schedule closures to run at absolute or relative times; the engine
-// executes them in (time, insertion-order) order, so the simulation is
-// fully deterministic for a given configuration and seed.
+// All simulated time is expressed in CPU cycles (uint64). Production
+// components schedule typed payloads (see Payload) at absolute or
+// relative times; closures remain for tests and the engine microbench.
+// The engine executes events serially in (time, insertion-order)
+// order, so the simulation is fully deterministic for a given
+// configuration and seed.
 package sim
 
 import "math/bits"
@@ -50,11 +52,11 @@ const (
 	KindKernelWake     // A = task id, B = cpu index
 )
 
-// event is a scheduled closure or typed payload (fn == nil).
+// event is a scheduled typed payload (fn == nil), the form production
+// uses, or a closure (tests and the engine microbench).
 type event struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among events at the same cycle
-	dom  int32  // affinity domain (0 = shared state, run serially)
 	fn   func()
 	p    Payload
 }
@@ -129,8 +131,6 @@ type Engine struct {
 
 	heap []event // 4-ary min-heap by (when, seq); every when > now
 
-	par *parallel // non-nil once EnableParallel has been called
-
 	// exec dispatches payload events (events scheduled without a
 	// closure); installed once by the system owner via SetExec.
 	exec func(Payload)
@@ -200,7 +200,7 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 // *PastEventError fault, which the core run API converts into a
 // returned error at its boundary (see Fault).
 func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.schedule(t, 0, fn)
+	e.scheduleEv(t, fn, Payload{})
 }
 
 // SetExec installs the dispatcher for payload events. Scheduling a
@@ -221,20 +221,16 @@ func (e *Engine) ScheduleP(delay Time, p Payload) {
 
 // SchedulePAt schedules a payload event at absolute time t.
 func (e *Engine) SchedulePAt(t Time, p Payload) {
-	e.scheduleEv(t, 0, nil, p)
+	e.scheduleEv(t, nil, p)
 }
 
-// schedule routes an event to the right store by its distance from now.
-func (e *Engine) schedule(t Time, dom int32, fn func()) {
-	e.scheduleEv(t, dom, fn, Payload{})
-}
-
-func (e *Engine) scheduleEv(t Time, dom int32, fn func(), p Payload) {
+// scheduleEv routes an event to the right store by its distance from now.
+func (e *Engine) scheduleEv(t Time, fn func(), p Payload) {
 	if t < e.now {
 		panic(&PastEventError{T: t, Now: e.now})
 	}
 	e.seq++
-	ev := event{when: t, seq: e.seq, dom: dom, fn: fn, p: p}
+	ev := event{when: t, seq: e.seq, fn: fn, p: p}
 	switch {
 	case t == e.now:
 		e.fifo = append(e.fifo, ev)
@@ -477,9 +473,6 @@ func (e *Engine) RunUntil(t Time) {
 	if e.now <= t {
 		for {
 			for e.fifoHead < len(e.fifo) {
-				if e.par != nil && e.fifo[e.fifoHead].dom != 0 && e.runParallel() {
-					continue // a domain batch ran; resume the FIFO scan
-				}
 				ev := e.fifo[e.fifoHead]
 				e.fifo[e.fifoHead] = event{} // release the closure for GC
 				e.fifoHead++

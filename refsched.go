@@ -232,8 +232,7 @@ func ReadSnapshot(path string) (*SystemState, error) {
 // RestoreSystem rebuilds a system from a checkpoint. The machine is
 // reconstructed from the snapshot's own config and mix; opt may supply
 // a cancellation context (its FootprintScale and Seed are overridden by
-// the snapshot's, and ChannelParallel is rejected). Resume the result
-// to continue the interrupted run.
+// the snapshot's). Resume the result to continue the interrupted run.
 func RestoreSystem(st *SystemState, opt Options) (*System, error) {
 	inner, err := core.Restore(st, opt)
 	if err != nil {
@@ -296,8 +295,7 @@ func (s *System) RunWindows(warmupWindows, measureWindows int) (*Report, error) 
 // and handed to fn (persist it with WriteSnapshot). Checkpoint
 // boundaries split the engine's run into legs, which does not perturb
 // execution — the report is byte-identical to an uncheckpointed run.
-// Checkpointing is incompatible with an attached trace or timeline and
-// with parallel execution.
+// Checkpointing is incompatible with an attached trace or timeline.
 func (s *System) RunCheckpointed(warmup, measure, every uint64, fn CheckpointFn) (*Report, error) {
 	return s.inner.RunCheckpointed(warmup, measure, every, fn)
 }
