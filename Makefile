@@ -38,19 +38,23 @@ staticcheck:
 		echo "staticcheck unavailable (offline?); skipping"; \
 	fi
 
-# The merge gate: build, vet, a gofmt check over every tracked Go file,
-# staticcheck, the short test suite, then the race detector over the
-# concurrency-bearing packages (the worker pool, the fault injector,
-# the journal, the event engine — which also guards the hot path's 0
-# allocs/op via TestEngineScheduleIsAllocationFree — and the serving
-# daemon), then the two paper-fidelity gates -short skips
-# (byte-identical golden figures and the refresh-degradation shape,
-# ~90 s together), and finally the daemon smoke drill: the real binary
-# on an ephemeral port, /healthz, a figure round-trip through the
-# cache, and a SIGTERM drain to exit 0.
+# The merge gate: build, vet, the same for the nested perfbench module
+# (the benchmark harness, which `./...` from the root never compiles;
+# -o /dev/null keeps its one main package from leaving a binary),
+# a gofmt check over every tracked Go file, staticcheck, the short test
+# suite, then the race detector over the concurrency-bearing packages
+# (the worker pool, the fault injector, the journal, the event engine —
+# which also guards the hot path's 0 allocs/op via
+# TestEngineAllocationFreeAllStores — and the serving daemon), then
+# the two paper-fidelity gates -short skips (byte-identical golden
+# figures and the refresh-degradation shape, ~90 s together), and
+# finally the daemon smoke drill: the real binary on an ephemeral port,
+# /healthz, a figure round-trip through the cache, and a SIGTERM drain
+# to exit 0.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(MAKE) staticcheck

@@ -298,23 +298,36 @@ func BenchmarkFig10Parallel(b *testing.B) {
 
 // --- substrate microbenchmarks ---
 
-// BenchmarkEngineScheduleStep measures the event-engine hot path: one
-// heap-path schedule plus one step per iteration against a warm
-// 128-event population. The hand-rolled monomorphic heap must stay at
-// 0 allocs/op (container/heap's interface{} boxing paid ≥1 per event).
-func BenchmarkEngineScheduleStep(b *testing.B) {
+// benchEngine times the event engine on the loop measureEngine
+// (cmd/experiments, the merge-gated microbench) runs: each iteration
+// schedules one payload delay(i) cycles ahead with SchedulePAt and
+// advances the clock one cycle with RunUntil, dispatching through exec.
+// The hot path must stay at 0 allocs/op.
+func benchEngine(b *testing.B, exec func(sim.Payload), delay func(i int) sim.Time) {
 	e := sim.NewEngine()
+	e.SetExec(exec)
 	e.Reserve(256)
-	fn := func() {}
+	p := sim.Payload{Kind: sim.KindMCTryIssue}
 	for i := 0; i < 128; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
+		e.SchedulePAt(delay(i), p)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	ev0 := e.Executed
 	for i := 0; i < b.N; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
-		e.Step()
+		now := e.Now()
+		e.SchedulePAt(now+delay(i), p)
+		e.RunUntil(now + 1)
 	}
+	b.ReportMetric(float64(e.Executed-ev0)/float64(b.N), "events/op")
+}
+
+func calendarDelay(i int) sim.Time { return sim.Time(i%31) + 1 }
+
+// BenchmarkEngineRunUntil is measureEngine's loop: calendar-range
+// delays and a no-op dispatcher.
+func BenchmarkEngineRunUntil(b *testing.B) {
+	benchEngine(b, func(sim.Payload) {}, calendarDelay)
 }
 
 // BenchmarkEngineTimelineDisabled pins the cost of the tracing seam
@@ -323,53 +336,18 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 // allocations to the engine loop (the acceptance contract for keeping
 // timeline hooks compiled into the simulator unconditionally).
 func BenchmarkEngineTimelineDisabled(b *testing.B) {
-	e := sim.NewEngine()
-	e.Reserve(256)
 	var tl *timeline.Recorder // disabled: exactly how mc/kernel hold it
-	fn := func() {
+	benchEngine(b, func(sim.Payload) {
 		if tl != nil {
 			tl.Span(timeline.PidCPU, 0, "tick", 0, 1)
 		}
-	}
-	for i := 0; i < 128; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
-		e.Step()
-	}
+	}, calendarDelay)
 }
 
-// BenchmarkEngineSameCycleFIFO measures the Schedule(0, fn) fast path:
-// same-cycle events bypass the heap entirely.
+// BenchmarkEngineSameCycleFIFO measures the same-cycle fast path:
+// events scheduled at Now() bypass the calendar and heap entirely.
 func BenchmarkEngineSameCycleFIFO(b *testing.B) {
-	e := sim.NewEngine()
-	e.Reserve(16)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(0, fn)
-		e.Step()
-	}
-}
-
-// BenchmarkEngineEventThroughput measures raw event-heap throughput.
-func BenchmarkEngineEventThroughput(b *testing.B) {
-	e := sim.NewEngine()
-	n := 0
-	var pump func()
-	pump = func() {
-		n++
-		if n < b.N {
-			e.Schedule(1, pump)
-		}
-	}
-	e.Schedule(1, pump)
-	b.ResetTimer()
-	e.Run()
+	benchEngine(b, func(sim.Payload) {}, func(int) sim.Time { return 0 })
 }
 
 // BenchmarkCacheAccess measures hierarchy probe throughput on a hot set.

@@ -267,9 +267,13 @@ func (b *benchRecorder) write() error {
 	return nil
 }
 
-// measureEngine hand-rolls the BenchmarkEngineScheduleStep measurement
-// (allocations and throughput of the event-heap hot path) without the
-// testing package, so the CLI can embed it in the baseline file.
+// measureEngine hand-rolls the BenchmarkEngineRunUntil measurement
+// (allocations and throughput of the event engine on the path
+// production runs: SchedulePAt, dispatch through SetExec, RunUntil)
+// without the testing package, so the CLI can embed it in the baseline
+// file. Each iteration schedules one calendar-range payload and
+// advances the clock one cycle; throughput counts the events actually
+// executed (Executed deltas), not loop iterations.
 //
 // Two defenses against a noisy host, because this number gates merges:
 // each quantity is the best of several passes (interference only ever
@@ -281,29 +285,33 @@ func (b *benchRecorder) write() error {
 func measureEngine() engineBench {
 	const warm, n, passes = 128, 2_000_000, 5
 	e := sim.NewEngine()
+	e.SetExec(func(sim.Payload) {})
 	e.Reserve(warm * 2)
-	fn := func() {}
+	p := sim.Payload{Kind: sim.KindMCTryIssue}
 	for i := 0; i < warm; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
+		e.SchedulePAt(sim.Time(i%31)+1, p)
 	}
 	var best engineBench
-	for p := 0; p < passes; p++ {
+	for pass := 0; pass < passes; pass++ {
 		if ref := measureRef(); ref > best.RefOpsPerSec {
 			best.RefOpsPerSec = ref
 		}
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
+		ev0 := e.Executed
 		t0 := time.Now()
 		for i := 0; i < n; i++ {
-			e.Schedule(sim.Time(i%31)+1, fn)
-			e.Step()
+			now := e.Now()
+			e.SchedulePAt(now+sim.Time(i%31)+1, p)
+			e.RunUntil(now + 1)
 		}
 		wall := time.Since(t0)
 		runtime.ReadMemStats(&m1)
-		if evPerSec := float64(n) / wall.Seconds(); evPerSec > best.EventsPerSec {
+		events := float64(e.Executed - ev0)
+		if evPerSec := events / wall.Seconds(); evPerSec > best.EventsPerSec {
 			best.EventsPerSec = evPerSec
-			best.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(n)
+			best.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / events
 		}
 	}
 	return best

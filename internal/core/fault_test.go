@@ -9,6 +9,20 @@ import (
 	"refsched/internal/sim"
 )
 
+// plant schedules fn at cycle at through a KindNone payload, which a
+// test dispatcher intercepts before delegating every other event to the
+// system's own dispatcher.
+func plant(sys *System, at sim.Time, fn func()) {
+	sys.Eng.SetExec(func(p sim.Payload) {
+		if p.Kind == sim.KindNone {
+			fn()
+			return
+		}
+		sys.execPayload(p)
+	})
+	sys.Eng.SchedulePAt(at, sim.Payload{Kind: sim.KindNone})
+}
+
 // TestRunConvertsSimFaultToError exercises the run boundary's error
 // taxonomy: a typed sim.Fault unwinding out of the event loop must come
 // back as a returned error tagged with the cell identity — never as a
@@ -21,9 +35,7 @@ func TestRunConvertsSimFaultToError(t *testing.T) {
 	}
 	// Plant a component bookkeeping bug: an event that schedules into
 	// the past once the clock reaches cycle 10.
-	sys.Eng.Schedule(10, func() {
-		sys.Eng.ScheduleAt(5, func() {})
-	})
+	plant(sys, 10, func() { sys.Eng.SchedulePAt(5, sim.Payload{}) })
 	rep, err := sys.RunWindows(1, 1)
 	if err == nil {
 		t.Fatal("Run swallowed a simulation fault")
@@ -55,7 +67,7 @@ func TestRunRepanicsNonFaultValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Eng.Schedule(10, func() { panic("invariant violated") })
+	plant(sys, 10, func() { panic("invariant violated") })
 	defer func() {
 		p := recover()
 		if p != "invariant violated" {

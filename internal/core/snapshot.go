@@ -76,17 +76,13 @@ func eager(fn CheckpointFn) BoundaryFn {
 }
 
 // captureState flattens the whole machine into a SystemState. It fails
-// when any pending engine event is a closure (a layer that forgot to
-// reify an event type), when a trace or timeline is attached, or when
-// a task's workload generator is not checkpointable.
+// when a trace or timeline is attached, or when a task's workload
+// generator is not checkpointable.
 func (s *System) captureState(warmup, measure uint64, pastWarmup bool, warmSnap metrics.Snapshot) (*SystemState, error) {
 	if s.observed {
 		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
 	}
-	eng, err := s.Eng.SnapshotState()
-	if err != nil {
-		return nil, err
-	}
+	eng := s.Eng.SnapshotState()
 	kst, err := s.Kernel.State()
 	if err != nil {
 		return nil, err

@@ -171,11 +171,9 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 	return s, nil
 }
 
-// execPayload is the machine's single payload-event dispatcher: every
-// layer schedules closure-free typed events (see sim.Payload) and this
-// routes them back to the owning component. Keeping the event
-// population closure-free is what makes the engine's pending-event set
-// serializable for checkpoint/restore.
+// execPayload is the machine's single event dispatcher: every layer
+// schedules typed events (see sim.Payload) and this routes them back to
+// the owning component.
 func (s *System) execPayload(p sim.Payload) {
 	switch p.Kind {
 	case sim.KindMCRefreshTick, sim.KindMCTryIssue:

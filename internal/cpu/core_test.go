@@ -76,7 +76,7 @@ func (m *fakeMem) SubmitRead(r *mc.Request) bool {
 		return false
 	}
 	m.reads = append(m.reads, r)
-	m.eng.Schedule(m.latency, func() { m.core.MissComplete(r.Owner.Miss, r.Owner.Epoch) })
+	m.eng.SchedulePAt(m.eng.Now()+m.latency, sim.Payload{Kind: sim.KindMCComplete, C: r.Owner.Miss, D: r.Owner.Epoch})
 	return true
 }
 func (m *fakeMem) WhenReadSpace(_ int, r *mc.Request) { m.readWaiters = append(m.readWaiters, r) }
@@ -101,7 +101,13 @@ func newTestCore(t *testing.T, mem Memory, mlp int) *Core {
 	}
 	c := NewCore(0, fm.eng, mem, hier, 1.0, mlp, 128)
 	fm.core = c
-	fm.eng.SetExec(c.Exec)
+	fm.eng.SetExec(func(p sim.Payload) {
+		if p.Kind == sim.KindMCComplete {
+			c.MissComplete(p.C, p.D)
+			return
+		}
+		c.Exec(p)
+	})
 	return c
 }
 

@@ -5,16 +5,19 @@ import (
 	"testing"
 )
 
+// tickEveryCycle installs a self-rescheduling tick that keeps the clock
+// advancing one cycle at a time for as long as a run lasts.
+func tickEveryCycle(e *Engine) {
+	e.SetExec(func(p Payload) { e.SchedulePAt(e.Now()+1, p) })
+	e.SchedulePAt(1, Payload{})
+}
+
 // TestCheckpointCancelsRun: a checkpoint returning an error unwinds
 // RunUntil as a typed *CancelFault carrying the cause, leaving the
 // engine stopped at the firing cycle rather than fast-forwarded.
 func TestCheckpointCancelsRun(t *testing.T) {
 	e := NewEngine()
-	// A self-rescheduling tick keeps the clock advancing one cycle at
-	// a time for as long as the run lasts.
-	var tick func()
-	tick = func() { e.Schedule(1, tick) }
-	e.Schedule(1, tick)
+	tickEveryCycle(e)
 
 	cause := errors.New("deadline exceeded")
 	calls := 0
@@ -59,9 +62,7 @@ func TestCheckpointCancelsRun(t *testing.T) {
 // cycles of clock advance, and removing it (nil fn) stops all calls.
 func TestCheckpointInterval(t *testing.T) {
 	e := NewEngine()
-	var tick func()
-	tick = func() { e.Schedule(1, tick) }
-	e.Schedule(1, tick)
+	tickEveryCycle(e)
 
 	calls := 0
 	e.SetCheckpoint(1000, func() error { calls++; return nil })

@@ -2,12 +2,12 @@
 // other subsystem: a global cycle clock, an event queue, and deterministic
 // pseudo-random streams.
 //
-// All simulated time is expressed in CPU cycles (uint64). Production
-// components schedule typed payloads (see Payload) at absolute or
-// relative times; closures remain for tests and the engine microbench.
-// The engine executes events serially in (time, insertion-order)
-// order, so the simulation is fully deterministic for a given
-// configuration and seed.
+// All simulated time is expressed in CPU cycles (uint64). Every event
+// is a typed payload (see Payload) scheduled at an absolute time and
+// dispatched through one hook installed by the system owner; the
+// engine holds no closures. It executes events serially in (time,
+// insertion-order) order, so the simulation is fully deterministic for
+// a given configuration and seed.
 package sim
 
 import "math/bits"
@@ -15,12 +15,10 @@ import "math/bits"
 // Time is a point in simulated time, measured in CPU clock cycles.
 type Time = uint64
 
-// Payload is a typed, closure-free event body. An event scheduled with a
-// payload carries no Go closure: it is dispatched through the engine's
-// exec hook (see SetExec), which routes on Kind and the operand words.
-// Payload events are the serializable subset of the event population —
-// an engine whose pending events are all payloads can be checkpointed
-// and restored exactly (see SnapshotState).
+// Payload is a typed, closure-free event body: it is dispatched through
+// the engine's exec hook (see SetExec), which routes on Kind and the
+// operand words. Payloads are plain data, so an engine's pending events
+// can always be checkpointed and restored exactly (see SnapshotState).
 type Payload struct {
 	Kind uint16
 	A    uint64
@@ -52,12 +50,11 @@ const (
 	KindKernelWake     // A = task id, B = cpu index
 )
 
-// event is a scheduled typed payload (fn == nil), the form production
-// uses, or a closure (tests and the engine microbench).
+// event is a scheduled payload: 64 pointer-free bytes, so the event
+// stores are never scanned by the garbage collector.
 type event struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among events at the same cycle
-	fn   func()
 	p    Payload
 }
 
@@ -99,8 +96,8 @@ type calNode struct {
 // container/heap interface{} boxing, so the hot scheduling path is
 // allocation-free once the backing stores reach steady-state capacity):
 //
-//   - a FIFO of events due at the current cycle (same-cycle Schedule
-//     calls append here directly);
+//   - a FIFO of events due at the current cycle (scheduling at Now()
+//     appends here directly);
 //   - a calendar queue — a ring of calHorizon buckets indexed by
 //     (when & calMask), each an arena-backed linked list in seq order,
 //     with a bitmap for O(1) next-nonempty-bucket search — holding every
@@ -118,7 +115,6 @@ type Engine struct {
 	seq      uint64
 	fifo     []event // events due at exactly now, in seq order
 	fifoHead int     // next unexecuted index into fifo
-	stopped  bool
 
 	// Calendar queue: invariant — every bucketed event has
 	// now < when < now+calHorizon, so a slot maps to a unique timestamp.
@@ -131,8 +127,8 @@ type Engine struct {
 
 	heap []event // 4-ary min-heap by (when, seq); every when > now
 
-	// exec dispatches payload events (events scheduled without a
-	// closure); installed once by the system owner via SetExec.
+	// exec dispatches every event; installed once by the system owner
+	// via SetExec.
 	exec func(Payload)
 
 	// Cooperative cancellation checkpoint (see SetCheckpoint): check is
@@ -183,54 +179,21 @@ func (e *Engine) Reserve(n int) {
 	}
 }
 
-// Schedule runs fn after delay cycles (possibly zero, meaning "later this
-// cycle", after already-queued same-cycle events).
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay == 0 {
-		// Same-cycle fast path: straight to the FIFO, no queue traffic.
-		e.seq++
-		e.fifo = append(e.fifo, event{when: e.now, seq: e.seq, fn: fn})
-		return
-	}
-	e.ScheduleAt(e.now+delay, fn)
-}
-
-// ScheduleAt runs fn at absolute time t. Scheduling in the past always
-// indicates a component bookkeeping bug; it unwinds with a typed
-// *PastEventError fault, which the core run API converts into a
-// returned error at its boundary (see Fault).
-func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.scheduleEv(t, fn, Payload{})
-}
-
-// SetExec installs the dispatcher for payload events. Scheduling a
-// payload without a dispatcher installed is a programming error caught
-// at execution time.
+// SetExec installs the dispatcher every event is executed through. It
+// must be installed before the first event runs.
 func (e *Engine) SetExec(fn func(Payload)) { e.exec = fn }
 
-// ScheduleP schedules a payload event after delay cycles (possibly
-// zero), exactly like Schedule but closure-free.
-func (e *Engine) ScheduleP(delay Time, p Payload) {
-	if delay == 0 {
-		e.seq++
-		e.fifo = append(e.fifo, event{when: e.now, seq: e.seq, p: p})
-		return
-	}
-	e.SchedulePAt(e.now+delay, p)
-}
-
-// SchedulePAt schedules a payload event at absolute time t.
+// SchedulePAt schedules a payload event at absolute time t (t == Now()
+// means "later this cycle", after already-queued same-cycle events).
+// Scheduling in the past always indicates a component bookkeeping bug;
+// it unwinds with a typed *PastEventError fault, which the core run API
+// converts into a returned error at its boundary (see Fault).
 func (e *Engine) SchedulePAt(t Time, p Payload) {
-	e.scheduleEv(t, nil, p)
-}
-
-// scheduleEv routes an event to the right store by its distance from now.
-func (e *Engine) scheduleEv(t Time, fn func(), p Payload) {
 	if t < e.now {
 		panic(&PastEventError{T: t, Now: e.now})
 	}
 	e.seq++
-	ev := event{when: t, seq: e.seq, fn: fn, p: p}
+	ev := event{when: t, seq: e.seq, p: p}
 	switch {
 	case t == e.now:
 		e.fifo = append(e.fifo, ev)
@@ -239,19 +202,6 @@ func (e *Engine) scheduleEv(t Time, fn func(), p Payload) {
 	default:
 		e.heapPush(ev)
 	}
-}
-
-// run executes one event body: the closure if present, else the payload
-// dispatcher.
-func (e *Engine) run(ev event) {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	if e.exec == nil {
-		panic("sim: payload event scheduled without a SetExec dispatcher")
-	}
-	e.exec(ev.p)
 }
 
 // --- calendar queue ---
@@ -328,7 +278,6 @@ func (e *Engine) heapPop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release the closure for GC
 	h = h[:n]
 	i := 0
 	for {
@@ -374,9 +323,7 @@ func (e *Engine) drainTo(t Time) {
 			n := &e.arena[i]
 			e.fifo = append(e.fifo, n.ev)
 			next := n.next
-			// Recycle the node; zero the event so the closure is
-			// released for GC while the node sits on the freelist.
-			n.ev = event{}
+			// Recycle the node onto the freelist.
 			n.next = e.freeHead
 			e.freeHead = i
 			i = next
@@ -390,49 +337,6 @@ func (e *Engine) drainTo(t Time) {
 		e.calTail[slot] = 0
 		e.calBits[slot>>6] &^= 1 << uint(slot&63)
 	}
-}
-
-// refill advances the clock to the earliest pending timestamp and
-// drains every event due at that cycle into the FIFO, preserving seq
-// order. It reports whether any event became runnable.
-func (e *Engine) refill() bool {
-	e.fifo = e.fifo[:0]
-	e.fifoHead = 0
-	t, ok := e.nextEventTime()
-	if !ok {
-		return false
-	}
-	e.now = t
-	e.drainTo(t)
-	return true
-}
-
-// nextTime returns the timestamp of the earliest pending event.
-func (e *Engine) nextTime() (Time, bool) {
-	if e.fifoHead < len(e.fifo) {
-		return e.now, true
-	}
-	return e.nextEventTime()
-}
-
-// Step executes the single earliest pending event and advances the clock
-// to its timestamp. It returns false when no events remain.
-func (e *Engine) Step() bool {
-	if e.fifoHead >= len(e.fifo) && !e.refill() {
-		return false
-	}
-	ev := e.fifo[e.fifoHead]
-	e.fifo[e.fifoHead] = event{} // release the closure for GC
-	e.fifoHead++
-	if e.fifoHead == len(e.fifo) {
-		// Fully drained: rewind so same-cycle producer/consumer loops
-		// reuse the buffer instead of growing it without bound.
-		e.fifo = e.fifo[:0]
-		e.fifoHead = 0
-	}
-	e.Executed++
-	e.run(ev)
-	return true
 }
 
 // SetCheckpoint installs a cooperative cancellation hook: RunUntil
@@ -459,58 +363,51 @@ func (e *Engine) SetCheckpoint(interval Time, fn func() error) {
 
 // RunUntil executes events until the clock would pass t, then sets the
 // clock to exactly t. Events scheduled at exactly t are executed.
-//
-// Unlike Step-driven loops, RunUntil batch-advances: it drains each
-// runnable cycle's FIFO back to back (everything in the FIFO is due
-// exactly now by construction, so no per-event next-time re-check is
-// needed) and only consults the calendar/heap between cycles.
-//
-// If Stop is called from within an event, RunUntil returns after that
-// event without fast-forwarding the clock, leaving the remaining events
-// pending; a subsequent Run/RunUntil resumes exactly where it left off.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	if e.now <= t {
-		for {
-			for e.fifoHead < len(e.fifo) {
-				ev := e.fifo[e.fifoHead]
-				e.fifo[e.fifoHead] = event{} // release the closure for GC
-				e.fifoHead++
-				if e.fifoHead == len(e.fifo) {
-					e.fifo = e.fifo[:0]
-					e.fifoHead = 0
-				}
-				e.Executed++
-				e.run(ev)
-				if e.stopped {
-					return
-				}
-			}
-			w, ok := e.nextEventTime()
-			if !ok || w > t {
-				break
-			}
-			e.now = w
-			if e.check != nil && e.now >= e.nextCheck {
-				e.nextCheck = e.now + e.checkInterval
-				if err := e.check(); err != nil {
-					panic(&CancelFault{Now: e.now, Err: err})
-				}
-			}
-			e.drainTo(w)
-		}
+	if e.now > t {
+		return
 	}
-	if e.now < t {
-		e.now = t
-	}
+	e.run(t)
+	e.now = t
 }
 
-// Run executes events until none remain or Stop is called.
+// Run executes events until none remain, leaving the clock at the last
+// event's timestamp.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
+	e.run(^Time(0))
 }
 
-// Stop halts Run/RunUntil after the current event finishes.
-func (e *Engine) Stop() { e.stopped = true }
+// run is the event loop. It batch-advances: each runnable cycle's FIFO
+// drains back to back (everything in the FIFO is due exactly now by
+// construction, so no per-event next-time re-check is needed), and the
+// calendar and heap are consulted only between cycles. It returns with
+// the clock at the last executed cycle once the next pending event is
+// later than t.
+func (e *Engine) run(t Time) {
+	for {
+		for e.fifoHead < len(e.fifo) {
+			p := e.fifo[e.fifoHead].p
+			e.fifoHead++
+			if e.fifoHead == len(e.fifo) {
+				// Fully drained: rewind so same-cycle producer/consumer
+				// loops reuse the buffer instead of growing it.
+				e.fifo = e.fifo[:0]
+				e.fifoHead = 0
+			}
+			e.Executed++
+			e.exec(p)
+		}
+		w, ok := e.nextEventTime()
+		if !ok || w > t {
+			return
+		}
+		e.now = w
+		if e.check != nil && e.now >= e.nextCheck {
+			e.nextCheck = e.now + e.checkInterval
+			if err := e.check(); err != nil {
+				panic(&CancelFault{Now: e.now, Err: err})
+			}
+		}
+		e.drainTo(w)
+	}
+}

@@ -24,7 +24,7 @@ func (l *lcg) next() uint64 {
 func TestEngineDifferentialOrdering(t *testing.T) {
 	delays := []Time{0, 1, 2, 3, 30, 600, calHorizon - 1, calHorizon, calHorizon + 1, 3 * calHorizon, 50000}
 	for trial := 0; trial < 20; trial++ {
-		e := NewEngine()
+		e := newTestEngine()
 		rng := lcg(1000 + trial)
 
 		// Reference: (when, seq) pairs sorted stably.
@@ -46,10 +46,12 @@ func TestEngineDifferentialOrdering(t *testing.T) {
 			id++
 			refSeq++
 			ref = append(ref, refEv{when: refNow + d, seq: refSeq, id: myID})
-			e.Schedule(d, func() {
+			e.after(d, func() {
 				got = append(got, myID)
 				if depth < 3 && rng.next()%3 == 0 {
-					// Nested scheduling relative to this event's time.
+					// Nested scheduling relative to this event's time:
+					// add() runs synchronously inside the event, so
+					// e.Now() is its timestamp.
 					refNow = e.Now()
 					add(depth + 1)
 				}
@@ -85,66 +87,21 @@ func TestEngineDifferentialOrdering(t *testing.T) {
 	}
 }
 
-// The reference above records nested events' times via refNow set just
-// before add() inside the event body; this only works because add() is
-// called synchronously from the running event, when e.Now() equals the
-// event's timestamp. The compile-time assertion below documents the
-// dependency on Schedule being relative to Now at call time.
-var _ = Time(0)
-
-// TestEngineStopDuringRunUntil verifies the documented Stop semantics:
-// RunUntil returns after the stopping event without fast-forwarding the
-// clock, remaining events stay pending, and a subsequent RunUntil
-// resumes exactly where execution left off.
-func TestEngineStopDuringRunUntil(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Schedule(10, func() { order = append(order, "a@10") })
-	e.Schedule(20, func() {
-		order = append(order, "stop@20")
-		e.Stop()
-	})
-	e.Schedule(20, func() { order = append(order, "b@20") }) // same cycle, after the stopper
-	e.Schedule(30, func() { order = append(order, "c@30") })
-
-	e.RunUntil(100)
-	if e.Now() != 20 {
-		t.Fatalf("Now() after Stop = %d, want 20 (clock must not fast-forward to the RunUntil bound)", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() after Stop = %d, want 2 (same-cycle successor and the later event)", e.Pending())
-	}
-	want := []string{"a@10", "stop@20"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("order after Stop = %v, want %v", order, want)
-	}
-
-	// Resuming picks up the same-cycle successor first, then the rest.
-	e.RunUntil(100)
-	want = []string{"a@10", "stop@20", "b@20", "c@30"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("order after resume = %v, want %v", order, want)
-	}
-	if e.Now() != 100 {
-		t.Fatalf("Now() after resume = %d, want 100", e.Now())
-	}
-}
-
 // TestEngineRunUntilBoundaryEvents pins the inclusive boundary: events
 // scheduled at exactly t run, events one cycle later do not, and the
 // clock lands exactly on t either way.
 func TestEngineRunUntilBoundaryEvents(t *testing.T) {
 	for _, base := range []Time{0, calHorizon - 1, calHorizon, 123456} {
-		e := NewEngine()
+		e := newTestEngine()
 		e.RunUntil(base)
 		var ranAt, ranAfter, nested bool
-		e.ScheduleAt(base+100, func() {
+		e.at(base+100, func() {
 			ranAt = true
-			// A zero-delay event scheduled at the boundary cycle itself
-			// must also run before RunUntil returns.
-			e.Schedule(0, func() { nested = true })
+			// An event scheduled at the boundary cycle itself must
+			// also run before RunUntil returns.
+			e.after(0, func() { nested = true })
 		})
-		e.ScheduleAt(base+101, func() { ranAfter = true })
+		e.at(base+101, func() { ranAfter = true })
 		e.RunUntil(base + 100)
 		if !ranAt || !nested {
 			t.Fatalf("base %d: event at boundary ran=%v nested=%v, want both true", base, ranAt, nested)
@@ -165,10 +122,10 @@ func TestEngineRunUntilBoundaryEvents(t *testing.T) {
 // current clock executes nothing and leaves the clock unchanged, even
 // with same-cycle events pending.
 func TestEngineRunUntilPast(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	e.RunUntil(50)
 	ran := false
-	e.Schedule(0, func() { ran = true })
+	e.after(0, func() { ran = true })
 	e.RunUntil(10)
 	if ran {
 		t.Fatal("RunUntil(past) executed a pending same-cycle event")
@@ -178,16 +135,17 @@ func TestEngineRunUntilPast(t *testing.T) {
 	}
 }
 
-// TestEngineAllocationFreeAllStores extends the allocation guard to the
-// reworked stores: after Reserve, steady-state scheduling through the
-// same-cycle FIFO, the calendar queue, and the far heap must all be
-// allocation-free (the calendar arena recycles nodes via its freelist)
-// — both for closures and for the typed payloads production schedules.
+// TestEngineAllocationFreeAllStores guards the hot path's 0 allocs/op:
+// after warm-up, steady-state scheduling through SchedulePAt and
+// execution through RunUntil must be allocation-free in every store —
+// the same-cycle FIFO, the calendar queue (whose arena recycles nodes
+// via its freelist) and the far heap.
 func TestEngineAllocationFreeAllStores(t *testing.T) {
 	cases := []struct {
 		name  string
 		delay func(i int) Time
 	}{
+		{"fifo", func(int) Time { return 0 }},
 		{"calendar", func(i int) Time { return Time(i%31) + 1 }},
 		{"heap", func(i int) Time { return calHorizon + Time(i%31)*17 }},
 		{"mixed", func(i int) Time {
@@ -201,38 +159,33 @@ func TestEngineAllocationFreeAllStores(t *testing.T) {
 			}
 		}},
 	}
-	paths := []struct {
-		name     string
-		schedule func(e *Engine, delay Time)
-	}{
-		{"Schedule", func(e *Engine, delay Time) { e.Schedule(delay, func() {}) }},
-		{"SchedulePAt", func(e *Engine, delay Time) {
-			e.SchedulePAt(e.Now()+delay, Payload{Kind: KindMCTryIssue})
-		}},
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, p := range paths {
-				e := NewEngine()
-				e.SetExec(func(Payload) {})
-				e.Reserve(256)
-				// Warm to steady state.
-				for i := 0; i < 128; i++ {
-					p.schedule(e, tc.delay(i))
+			e := NewEngine()
+			e.SetExec(nop)
+			e.Reserve(256)
+			i := 0
+			step := func() {
+				e.SchedulePAt(e.Now()+tc.delay(i), Payload{Kind: KindMCTryIssue})
+				e.RunUntil(e.Now() + 1)
+				i++
+			}
+			// Warm until the population (up to ~1.3 horizons of
+			// one-per-cycle events) and every store reach steady state.
+			for i < 3*calHorizon {
+				step()
+			}
+			// Count every allocation over a long window rather than
+			// averaging per step, so amortized store growth (an arena
+			// that stops recycling, a FIFO that stops rewinding) fails.
+			const window = 2 * calHorizon
+			allocs := testing.AllocsPerRun(1, func() {
+				for k := 0; k < window; k++ {
+					step()
 				}
-				for i := 0; i < 4096; i++ {
-					p.schedule(e, tc.delay(i))
-					e.Step()
-				}
-				i := 0
-				allocs := testing.AllocsPerRun(2000, func() {
-					p.schedule(e, tc.delay(i))
-					e.Step()
-					i++
-				})
-				if allocs != 0 {
-					t.Fatalf("%s via %s: steady-state schedule+step allocates %.2f allocs/op, want 0", tc.name, p.name, allocs)
-				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s: %d steady-state SchedulePAt+RunUntil steps allocate %.0f times, want 0", tc.name, window, allocs)
 			}
 		})
 	}
@@ -243,17 +196,17 @@ func TestEngineAllocationFreeAllStores(t *testing.T) {
 // near-future events must not grow the arena.
 func TestEngineReservePresizesCalendarArena(t *testing.T) {
 	e := NewEngine()
+	e.SetExec(nop)
 	const n = 500
 	e.Reserve(n)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < n; i++ {
-			e.Schedule(Time(i%100)+1, func() {})
+			e.SchedulePAt(e.Now()+Time(i%100)+1, Payload{})
 		}
-		for e.Step() {
-		}
+		e.Run()
 	})
-	// The closure itself is hoisted (no captures); the only possible
-	// allocations are store growth, which Reserve must have prevented.
+	// The only possible allocations are store growth, which Reserve
+	// must have prevented.
 	if allocs != 0 {
 		t.Fatalf("scheduling %d calendar events after Reserve(%d) allocates %.2f allocs/op, want 0", n, n, allocs)
 	}
@@ -263,14 +216,14 @@ func TestEngineReservePresizesCalendarArena(t *testing.T) {
 // so bucket slots are reused repeatedly, checking the slot-to-timestamp
 // mapping stays unambiguous as the ring wraps.
 func TestEngineCalendarWraparound(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var got []Time
 	want := make([]Time, 0, 64)
 	var at Time
 	for i := 0; i < 64; i++ {
 		at += calHorizon/3 + Time(i*7)
 		want = append(want, at)
-		e.ScheduleAt(at, func() { got = append(got, e.Now()) })
+		e.at(at, func() { got = append(got, e.Now()) })
 	}
 	e.Run()
 	if !reflect.DeepEqual(got, want) {

@@ -6,12 +6,37 @@ import (
 	"testing/quick"
 )
 
+// testEngine is an Engine whose dispatcher routes Payload.A to a
+// per-test action, so tests can script event bodies inline.
+type testEngine struct {
+	*Engine
+	actions []func()
+}
+
+func newTestEngine() *testEngine {
+	te := &testEngine{Engine: NewEngine()}
+	te.SetExec(func(p Payload) { te.actions[p.A]() })
+	return te
+}
+
+// at schedules fn at absolute time t.
+func (te *testEngine) at(t Time, fn func()) {
+	te.actions = append(te.actions, fn)
+	te.SchedulePAt(t, Payload{A: uint64(len(te.actions) - 1)})
+}
+
+// after schedules fn delay cycles from now.
+func (te *testEngine) after(delay Time, fn func()) { te.at(te.Now()+delay, fn) }
+
+// nop is a dispatcher for tests that only count or time events.
+func nop(Payload) {}
+
 func TestEngineOrdersEventsByTime(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.after(30, func() { got = append(got, 3) })
+	e.after(10, func() { got = append(got, 1) })
+	e.after(20, func() { got = append(got, 2) })
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("execution order = %v, want [1 2 3]", got)
@@ -22,11 +47,11 @@ func TestEngineOrdersEventsByTime(t *testing.T) {
 }
 
 func TestEngineFIFOAmongSameCycle(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		e.after(5, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -37,12 +62,12 @@ func TestEngineFIFOAmongSameCycle(t *testing.T) {
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var got []Time
-	e.Schedule(10, func() {
+	e.after(10, func() {
 		got = append(got, e.Now())
-		e.Schedule(5, func() { got = append(got, e.Now()) })
-		e.Schedule(0, func() { got = append(got, e.Now()) })
+		e.after(5, func() { got = append(got, e.Now()) })
+		e.after(0, func() { got = append(got, e.Now()) })
 	})
 	e.Run()
 	want := []Time{10, 10, 15}
@@ -52,11 +77,11 @@ func TestEngineNestedScheduling(t *testing.T) {
 }
 
 func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var fired []Time
 	for _, d := range []Time{5, 10, 15, 20} {
 		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
+		e.after(d, func() { fired = append(fired, d) })
 	}
 	e.RunUntil(10)
 	if len(fired) != 2 {
@@ -82,24 +107,9 @@ func TestEngineRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Schedule(1, func() { n++; e.Stop() })
-	e.Schedule(2, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("executed %d events after Stop, want 1", n)
-	}
-	e.Run() // resumes
-	if n != 2 {
-		t.Fatalf("executed %d events total, want 2", n)
-	}
-}
-
 func TestEnginePanicsOnPastEvent(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {
+	e := newTestEngine()
+	e.after(10, func() {
 		defer func() {
 			p := recover()
 			if p == nil {
@@ -124,23 +134,23 @@ func TestEnginePanicsOnPastEvent(t *testing.T) {
 				}
 			}
 		}()
-		e.ScheduleAt(5, func() {})
+		e.SchedulePAt(5, Payload{})
 	})
 	e.Run()
 }
 
 func TestEngineSameCycleFastPathOrdering(t *testing.T) {
-	// Events scheduled with delay 0 (or at the current absolute time)
-	// take the FIFO fast path; they must still interleave correctly
-	// with heap events previously scheduled for the same cycle.
-	e := NewEngine()
+	// Events scheduled at the current cycle take the FIFO fast path;
+	// they must still interleave correctly with calendar events
+	// previously scheduled for the same cycle.
+	e := newTestEngine()
 	var got []int
-	e.Schedule(10, func() {
+	e.after(10, func() {
 		got = append(got, 1)
-		e.Schedule(0, func() { got = append(got, 3) })         // fast path
-		e.ScheduleAt(e.Now(), func() { got = append(got, 4) }) // fast path via ScheduleAt
+		e.after(0, func() { got = append(got, 3) })
+		e.at(e.Now(), func() { got = append(got, 4) })
 	})
-	e.Schedule(10, func() { got = append(got, 2) }) // same cycle, scheduled earlier
+	e.after(10, func() { got = append(got, 2) }) // same cycle, scheduled earlier
 	e.Run()
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {
@@ -155,10 +165,10 @@ func TestEngineSameCycleFastPathOrdering(t *testing.T) {
 
 func TestEngineReserve(t *testing.T) {
 	e := NewEngine()
+	e.SetExec(nop)
 	e.Reserve(64)
-	fn := func() {}
 	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i%7)+1, fn)
+		e.SchedulePAt(Time(i%7)+1, Payload{})
 	}
 	if e.Pending() != 64 {
 		t.Fatalf("Pending = %d, want 64", e.Pending())
@@ -168,8 +178,8 @@ func TestEngineReserve(t *testing.T) {
 		t.Fatalf("Executed = %d, want 64", e.Executed)
 	}
 	// Reserving after events exist must preserve them.
-	e.Schedule(1, fn)
-	e.Schedule(2, fn)
+	e.SchedulePAt(e.Now()+1, Payload{})
+	e.SchedulePAt(e.Now()+2, Payload{})
 	e.Reserve(1024)
 	e.Run()
 	if e.Executed != 66 {
@@ -177,31 +187,11 @@ func TestEngineReserve(t *testing.T) {
 	}
 }
 
-func TestEngineScheduleIsAllocationFree(t *testing.T) {
-	// The hand-rolled heap must not box events: once the slices are at
-	// capacity, a schedule+step cycle performs zero allocations.
-	e := NewEngine()
-	e.Reserve(256)
-	fn := func() {}
-	for i := 0; i < 128; i++ {
-		e.Schedule(Time(i%31)+1, fn)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.Schedule(Time(i%31)+1, fn)
-		e.Step()
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("allocs per schedule+step = %v, want 0", allocs)
-	}
-}
-
 func TestEngineMixedFastAndHeapPaths(t *testing.T) {
 	// Property check: a random mix of zero and nonzero delays executes
 	// in nondecreasing time order with FIFO ties, and every event runs.
 	r := NewRand(3)
-	e := NewEngine()
+	e := newTestEngine()
 	total := 0
 	var executed int
 	var lastWhen Time
@@ -214,7 +204,7 @@ func TestEngineMixedFastAndHeapPaths(t *testing.T) {
 		for i := 0; i < n; i++ {
 			total++
 			d := Time(r.Intn(3)) // 0 hits the fast path
-			e.Schedule(d, func() {
+			e.after(d, func() {
 				if e.Now() < lastWhen {
 					t.Errorf("clock went backwards: %d after %d", e.Now(), lastWhen)
 				}
@@ -225,7 +215,7 @@ func TestEngineMixedFastAndHeapPaths(t *testing.T) {
 		}
 	}
 	total++
-	e.Schedule(1, func() { executed++; schedule(0) })
+	e.after(1, func() { executed++; schedule(0) })
 	e.Run()
 	if executed != total {
 		t.Fatalf("executed %d of %d events", executed, total)
@@ -235,29 +225,15 @@ func TestEngineMixedFastAndHeapPaths(t *testing.T) {
 	}
 }
 
-func TestEngineStepReturnsFalseWhenEmpty(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("Step on empty engine returned true")
-	}
-	e.Schedule(1, func() {})
-	if !e.Step() {
-		t.Fatal("Step with pending event returned false")
-	}
-	if e.Executed != 1 {
-		t.Fatalf("Executed = %d, want 1", e.Executed)
-	}
-}
-
 func TestEngineMonotonicClockProperty(t *testing.T) {
 	// Whatever delays are scheduled, observed times never decrease.
 	f := func(delays []uint8) bool {
-		e := NewEngine()
+		e := newTestEngine()
 		last := Time(0)
 		ok := true
 		for _, d := range delays {
 			d := Time(d)
-			e.Schedule(d, func() {
+			e.after(d, func() {
 				if e.Now() < last {
 					ok = false
 				}

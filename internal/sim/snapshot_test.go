@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -17,12 +16,9 @@ type executed struct {
 // it with no state beyond what the snapshot carries. Each payload
 // holds an id (A), a nesting depth (B) and a private LCG state (C);
 // executing one may schedule a child whose delay is drawn from C.
-// stopAfter > 0 stops the engine once, at the first event from that
-// many on that still has same-cycle successors waiting in the FIFO.
 type snapshotScript struct {
-	e         *Engine
-	log       []executed
-	stopAfter int
+	e   *Engine
+	log []executed
 }
 
 // snapshotDelays spans every store: same-cycle FIFO (0), the calendar
@@ -35,17 +31,13 @@ func (s *snapshotScript) exec(p Payload) {
 		g := lcg(p.C)
 		if g.next()%2 == 0 {
 			d := snapshotDelays[g.next()%uint64(len(snapshotDelays))]
-			s.e.ScheduleP(d, Payload{Kind: KindMCTryIssue, A: p.A*10 + 1, B: p.B + 1, C: uint64(g)})
+			s.e.SchedulePAt(s.e.Now()+d, Payload{Kind: KindMCTryIssue, A: p.A*10 + 1, B: p.B + 1, C: uint64(g)})
 		}
-	}
-	if s.stopAfter > 0 && len(s.log) >= s.stopAfter && s.e.fifoHead < len(s.e.fifo) {
-		s.e.Stop()
-		s.stopAfter = 0
 	}
 }
 
-func newSnapshotScript(stopAfter int) *snapshotScript {
-	s := &snapshotScript{e: NewEngine(), stopAfter: stopAfter}
+func newSnapshotScript() *snapshotScript {
+	s := &snapshotScript{e: NewEngine()}
 	s.e.SetExec(s.exec)
 	rng := lcg(42)
 	for i := 0; i < 400; i++ {
@@ -55,27 +47,31 @@ func newSnapshotScript(stopAfter int) *snapshotScript {
 	return s
 }
 
-// TestEngineSnapshotRoundTrip checkpoints a payload-only engine
-// mid-run, with pending events in the FIFO, the calendar ring and the
-// far heap, restores it into a fresh engine, and requires the
-// continuation to match an uninterrupted run exactly: the executed
-// (Now, Payload) sequence, Executed, and the final clock. It also pins
-// the refusal of a pending closure.
-func TestEngineSnapshotRoundTrip(t *testing.T) {
-	const end = 60000
+// runTo advances the script to cut and then schedules a few events at
+// the current cycle, the way a component does between two RunUntil
+// calls; a snapshot taken next finds them in the same-cycle FIFO.
+func (s *snapshotScript) runTo(cut Time) {
+	s.e.RunUntil(cut)
+	for i := uint64(0); i < 5; i++ {
+		s.e.SchedulePAt(s.e.Now(), Payload{Kind: KindMCTryIssue, A: 9000 + i, C: i + 1})
+	}
+}
 
-	ref := newSnapshotScript(0)
+// TestEngineSnapshotRoundTrip checkpoints a payload-only engine
+// between two RunUntil calls, with pending events in the FIFO, the
+// calendar ring and the far heap, restores it into a fresh engine, and
+// requires the continuation to match an uninterrupted run exactly: the
+// executed (Now, Payload) sequence, Executed, and the final clock.
+func TestEngineSnapshotRoundTrip(t *testing.T) {
+	const cut, end = 9000, 60000
+
+	ref := newSnapshotScript()
+	ref.runTo(cut)
 	ref.e.RunUntil(end)
 
-	cut := newSnapshotScript(len(ref.log) / 3)
-	cut.e.RunUntil(end)
-	if cut.e.Now() >= end {
-		t.Fatal("run never stopped; the snapshot would not be mid-run")
-	}
-	st, err := cut.e.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mid := newSnapshotScript()
+	mid.runTo(cut)
+	st := mid.e.SnapshotState()
 	var fifo, cal, far int
 	for _, ev := range st.Events {
 		switch {
@@ -103,11 +99,11 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	}
 	res.e.RunUntil(end)
 
-	got := append(append([]executed(nil), cut.log...), res.log...)
+	got := append(append([]executed(nil), mid.log...), res.log...)
 	if !reflect.DeepEqual(got, ref.log) {
 		for i := range got {
 			if i >= len(ref.log) || got[i] != ref.log[i] {
-				t.Fatalf("execution diverged at event %d of %d (snapshot after %d)", i, len(ref.log), len(cut.log))
+				t.Fatalf("execution diverged at event %d of %d (snapshot after %d)", i, len(ref.log), len(mid.log))
 			}
 		}
 		t.Fatalf("restored run executed %d events, want %d", len(got), len(ref.log))
@@ -117,17 +113,5 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	}
 	if res.e.Now() != ref.e.Now() {
 		t.Fatalf("final clock = %d, want %d", res.e.Now(), ref.e.Now())
-	}
-
-	// A pending closure cannot be serialized: the snapshot fails with a
-	// typed error naming it.
-	res.e.Schedule(20, func() {})
-	_, err = res.e.SnapshotState()
-	var ce *ClosureEventError
-	if !errors.As(err, &ce) {
-		t.Fatalf("SnapshotState with a pending closure: err = %v, want *ClosureEventError", err)
-	}
-	if ce.When != end+20 {
-		t.Fatalf("ClosureEventError names t=%d, want %d", ce.When, end+20)
 	}
 }
