@@ -187,6 +187,33 @@ func TestEngineReserve(t *testing.T) {
 	}
 }
 
+func TestEngineScheduleIsAllocationFree(t *testing.T) {
+	// The calendar store must not box events: with a standing backlog
+	// inside the reserved capacity, schedule+advance cycles perform
+	// zero allocations from the first step, without a warm-up phase.
+	// Allocations are counted over the whole window, not averaged per
+	// step, so an arena that stops recycling nodes fails.
+	e := NewEngine()
+	e.SetExec(nop)
+	e.Reserve(256)
+	for i := 0; i < 128; i++ {
+		e.SchedulePAt(Time(i%31)+1, Payload{Kind: KindMCTryIssue})
+	}
+	const steps = 1000
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < steps; i++ {
+			e.SchedulePAt(e.Now()+Time(i%31)+1, Payload{Kind: KindMCTryIssue})
+			e.RunUntil(e.Now() + 1)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d SchedulePAt+RunUntil steps allocate %.0f times, want 0", steps, allocs)
+	}
+	if e.Executed == 0 {
+		t.Fatal("no event executed; the backlog never drained")
+	}
+}
+
 func TestEngineMixedFastAndHeapPaths(t *testing.T) {
 	// Property check: a random mix of zero and nonzero delays executes
 	// in nondecreasing time order with FIFO ties, and every event runs.
