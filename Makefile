@@ -45,7 +45,9 @@ staticcheck:
 # suite, then the race detector over the concurrency-bearing packages
 # (the worker pool, the fault injector, the journal, the event engine —
 # which also guards the hot path's 0 allocs/op via
-# TestEngineAllocationFreeAllStores — and the serving daemon), then
+# TestEngineAllocationFreeAllStores — and the serving daemon), the
+# race detector again over core's and the harness's run-stopping tests
+# (cancellation, checkpoint, resume, snapshot, fig4 hard cancel), then
 # the two paper-fidelity gates -short skips (byte-identical golden
 # figures and the refresh-degradation shape, ~90 s together), and
 # finally the daemon smoke drill: the real binary on an ephemeral port,
@@ -60,6 +62,7 @@ ci:
 	$(MAKE) staticcheck
 	$(GO) test -short ./...
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
+	$(GO) test -race -timeout 10m -run 'Cancel|Context|Checkpoint|Resume|Snapshot|Fig4HardCtx' ./internal/core/ ./internal/harness/
 	$(GO) test -timeout 20m -run '^(TestGoldenFigures|TestRefreshDegradationShape)$$' ./internal/harness/ ./internal/core/
 	$(GO) test -count=1 -run 'TestDaemonSmoke' ./cmd/refschedd/
 

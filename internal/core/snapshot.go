@@ -165,68 +165,62 @@ func Restore(st *SystemState, opt Options) (*System, error) {
 // Checkpoint boundaries split the engine's run into legs, which does
 // not perturb execution: the report is byte-identical to an
 // uncheckpointed run of the same cell.
-func (s *System) RunCheckpointed(warmup, measure, every uint64, fn CheckpointFn) (rep *Report, err error) {
-	if s.started {
-		return nil, fmt.Errorf("core: system already run")
-	}
-	if s.restored {
-		return nil, fmt.Errorf("core: restored system must Resume, not RunCheckpointed")
-	}
-	if every > 0 && fn != nil && s.observed {
-		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
-	}
-	s.started = true
-	defer s.recoverFault(&rep, &err)
-	s.Kernel.Start()
-	return s.drive(warmup, measure, every, eager(fn))
+func (s *System) RunCheckpointed(warmup, measure, every uint64, fn CheckpointFn) (*Report, error) {
+	return s.RunPreemptible(warmup, measure, every, eager(fn))
 }
 
 // RunPreemptible is RunCheckpointed with the lazy boundary protocol:
 // fn is called at every checkpoint boundary but state capture is
 // deferred until the callback asks for it. Use this when boundaries
 // are frequent and snapshots rare (preemption polling).
-func (s *System) RunPreemptible(warmup, measure, every uint64, fn BoundaryFn) (rep *Report, err error) {
-	if s.started {
-		return nil, fmt.Errorf("core: system already run")
-	}
+func (s *System) RunPreemptible(warmup, measure, every uint64, fn BoundaryFn) (*Report, error) {
 	if s.restored {
-		return nil, fmt.Errorf("core: restored system must Resume, not RunPreemptible")
+		return nil, fmt.Errorf("core: restored system must Resume, not Run")
 	}
-	if every > 0 && fn != nil && s.observed {
-		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
-	}
-	s.started = true
-	defer s.recoverFault(&rep, &err)
-	s.Kernel.Start()
-	return s.drive(warmup, measure, every, fn)
+	return s.start(warmup, measure, every, fn)
 }
 
 // Resume continues a restored system to the end of its original run,
 // optionally emitting further checkpoints (every/fn as in
 // RunCheckpointed). The returned report is byte-identical to the one
 // the uninterrupted original run would have produced.
-func (s *System) Resume(every uint64, fn CheckpointFn) (rep *Report, err error) {
+func (s *System) Resume(every uint64, fn CheckpointFn) (*Report, error) {
 	return s.ResumePreemptible(every, eager(fn))
 }
 
 // ResumePreemptible is Resume with the lazy boundary protocol of
 // RunPreemptible.
-func (s *System) ResumePreemptible(every uint64, fn BoundaryFn) (rep *Report, err error) {
+func (s *System) ResumePreemptible(every uint64, fn BoundaryFn) (*Report, error) {
 	if !s.restored {
 		return nil, fmt.Errorf("core: Resume requires a system built by Restore")
 	}
+	return s.start(s.resWarmup, s.resMeasure, every, fn)
+}
+
+// start is the one-shot entry every run method shares: it refuses a
+// second run and checkpointing an observed system, then drives the run
+// behind the fault boundary. A restored system skips Kernel.Start: its
+// event population already holds the in-flight dispatch chain.
+func (s *System) start(warmup, measure, every uint64, fn BoundaryFn) (rep *Report, err error) {
 	if s.started {
 		return nil, fmt.Errorf("core: system already run")
 	}
+	if fn == nil {
+		every = 0
+	}
+	if every > 0 && s.observed {
+		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
+	}
 	s.started = true
 	defer s.recoverFault(&rep, &err)
-	// No Kernel.Start: the restored event population already contains
-	// the in-flight dispatch chain.
-	return s.drive(s.resWarmup, s.resMeasure, every, fn)
+	if !s.restored {
+		s.Kernel.Start()
+	}
+	return s.drive(warmup, measure, every, fn)
 }
 
-// recoverFault converts typed sim.Fault panics into returned errors,
-// mirroring Run's error boundary.
+// recoverFault is the run's error boundary: it converts typed sim.Fault
+// panics into returned cell-tagged errors and re-raises anything else.
 func (s *System) recoverFault(rep **Report, err *error) {
 	if p := recover(); p != nil {
 		f, ok := p.(sim.Fault)
@@ -234,48 +228,70 @@ func (s *System) recoverFault(rep **Report, err *error) {
 			panic(p)
 		}
 		*rep = nil
-		*err = fmt.Errorf("core: %s/%s/%s at cycle %d: %w",
-			s.Mix.Name, s.Cfg.Mem.Density, s.Cfg.Refresh.Policy, s.Eng.Now(), f)
+		*err = s.cellError(f)
 	}
 }
 
+// cellError tags err with the cell's identity and the current cycle, so
+// a quarantine line is self-describing.
+func (s *System) cellError(err error) error {
+	return fmt.Errorf("core: %s/%s/%s at cycle %d: %w",
+		s.Mix.Name, s.Cfg.Mem.Density, s.Cfg.Refresh.Policy, s.Eng.Now(), err)
+}
+
+// nextMultiple lowers next to the first multiple of step after now
+// (step == 0 leaves it alone).
+func nextMultiple(now, step, next uint64) uint64 {
+	if step == 0 {
+		return next
+	}
+	return min(next, (now/step+1)*step)
+}
+
 // drive advances the engine from its current time to warmup+measure in
-// legs, pausing at the warmup boundary (registry snapshot) and at every
-// checkpoint boundary (captureState + fn). The leg structure is
-// invisible to the simulation: RunUntil(a); RunUntil(b) executes the
-// identical event sequence as RunUntil(b).
+// legs. It is the only place a run stops early. A leg ends at the
+// warmup boundary (registry snapshot), at every multiple of every
+// (boundary callback fn, when every > 0), and — when Options.Ctx is set
+// — at every multiple of cancelCheckCycles, where a cancelled context
+// ends the run with a cell-tagged error. The leg structure is invisible
+// to the simulation: RunUntil(a); RunUntil(b) executes the identical
+// event sequence as RunUntil(b).
 func (s *System) drive(warmup, measure, every uint64, fn BoundaryFn) (*Report, error) {
+	var poll uint64
+	if s.ctx != nil {
+		poll = cancelCheckCycles
+	}
 	total := warmup + measure
 	snap := s.warmSnap
 	havePast := s.pastWarmup
 	if !havePast && uint64(s.Eng.Now()) >= warmup {
 		// Already at (or past) the warmup boundary with no snapshot —
-		// the warmup == 0 case. Drain due events exactly as Run's
-		// RunUntil(warmup) would, then snapshot.
+		// the warmup == 0 case. Drain due events exactly as a leg ending
+		// at warmup would, then snapshot.
 		s.Eng.RunUntil(sim.Time(warmup))
 		snap = s.snapshot()
 		havePast = true
 	}
-	for {
-		now := uint64(s.Eng.Now())
-		if now >= total {
-			break
-		}
+	for now := uint64(s.Eng.Now()); now < total; now = uint64(s.Eng.Now()) {
 		next := total
-		if !havePast && warmup > now && warmup < next {
-			next = warmup
+		if !havePast && warmup > now {
+			next = min(next, warmup)
 		}
-		if every > 0 && fn != nil {
-			if nc := (now/every + 1) * every; nc < next {
-				next = nc
-			}
-		}
+		next = nextMultiple(now, poll, nextMultiple(now, every, next))
 		s.Eng.RunUntil(sim.Time(next))
 		if !havePast && next >= warmup {
 			snap = s.snapshot()
 			havePast = true
 		}
-		if every > 0 && fn != nil && next%every == 0 && next < total {
+		if next >= total {
+			break
+		}
+		if s.ctx != nil {
+			if err := s.ctx.Err(); err != nil {
+				return nil, s.cellError(err)
+			}
+		}
+		if every > 0 && next%every == 0 {
 			capture := func() (*SystemState, error) {
 				return s.captureState(warmup, measure, havePast, snap)
 			}

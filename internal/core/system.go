@@ -33,21 +33,22 @@ type Options struct {
 	FootprintScale float64
 	// Seed overrides cfg.Seed when non-zero.
 	Seed uint64
-	// Ctx, when non-nil, hard-cancels a running simulation: the engine
-	// checks it at cooperative checkpoints (every cancelCheckCycles of
-	// simulated time) and a cancelled or expired context aborts the run
-	// with an error wrapping the context error. This is distinct from
-	// the sweep-level context in the runner, whose cancellation lets
-	// in-flight cells finish: Ctx is for deadlines and watchdogs that
-	// must abort even a wedged or oversized cell mid-run.
+	// Ctx, when non-nil, hard-cancels a running simulation: the run
+	// driver splits the run into legs at most cancelCheckCycles of
+	// simulated time long and polls Ctx between them, and a cancelled
+	// or expired context aborts the run with a cell-tagged error
+	// wrapping the context error. This is distinct from the sweep-level
+	// context in the runner, whose cancellation lets in-flight cells
+	// finish: Ctx is for deadlines and watchdogs that must abort even a
+	// wedged or oversized cell mid-run.
 	Ctx context.Context
 }
 
-// cancelCheckCycles is how often (in simulated cycles) a running
-// engine consults Options.Ctx — small enough that even heavily scaled
+// cancelCheckCycles bounds (in simulated cycles) the legs of a run
+// with Options.Ctx set — small enough that even heavily scaled
 // quick-preset cells (whose whole run is a few hundred thousand
-// cycles) hit checkpoints, while the check itself (one atomic load in
-// ctx.Err) stays far off the per-event hot path.
+// cycles) are polled, while the poll itself (one ctx.Err call per leg)
+// stays far off the per-event hot path.
 const cancelCheckCycles = 1 << 16
 
 // System is one fully wired simulated machine executing a workload mix.
@@ -68,6 +69,8 @@ type System struct {
 
 	timing  dram.Timing
 	started bool
+	// ctx is Options.Ctx, polled by drive between run legs.
+	ctx context.Context
 
 	// footprintScale is the effective Options.FootprintScale, recorded
 	// so a checkpoint can rebuild an identical system.
@@ -97,10 +100,7 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 		cfg.Seed = opt.Seed
 	}
 
-	s := &System{Cfg: cfg, Eng: sim.NewEngine(), Mix: mix, footprintScale: opt.FootprintScale}
-	if ctx := opt.Ctx; ctx != nil {
-		s.Eng.SetCheckpoint(cancelCheckCycles, ctx.Err)
-	}
+	s := &System{Cfg: cfg, Eng: sim.NewEngine(), Mix: mix, footprintScale: opt.FootprintScale, ctx: opt.Ctx}
 	// Pre-size the event queues for the steady-state population: each
 	// core keeps up to MLP misses in flight, each controller schedules
 	// per-queue-entry work, plus refresh/scheduler housekeeping.
@@ -179,8 +179,8 @@ func (s *System) execPayload(p sim.Payload) {
 	case sim.KindMCRefreshTick, sim.KindMCTryIssue:
 		s.MCs[p.A].Exec(p)
 	case sim.KindMCComplete:
-		// B = core+1; 0 means an unowned (posted-write) completion that
-		// exists only so event counts match the closure implementation.
+		// B = core+1. Snapshots of older revisions still carry unowned
+		// (posted-write) completions with B = 0; they are no-ops.
 		if p.B != 0 {
 			s.Cores[p.B-1].MissComplete(p.C, p.D)
 		}
@@ -330,30 +330,9 @@ func (s *System) SetTaskMasks(masks []buddy.BankMask) error {
 // errors tagged with the cell's identity, so a faulting cell degrades
 // into a failed run the sweep pipeline can quarantine. Panics with
 // non-Fault values are genuine programmer invariants and propagate.
-func (s *System) Run(warmup, measure uint64) (rep *Report, err error) {
-	if s.started {
-		return nil, fmt.Errorf("core: system already run")
-	}
-	if s.restored {
-		return nil, fmt.Errorf("core: restored system must Resume, not Run")
-	}
-	s.started = true
-	defer func() {
-		if p := recover(); p != nil {
-			f, ok := p.(sim.Fault)
-			if !ok {
-				panic(p)
-			}
-			rep = nil
-			err = fmt.Errorf("core: %s/%s/%s at cycle %d: %w",
-				s.Mix.Name, s.Cfg.Mem.Density, s.Cfg.Refresh.Policy, s.Eng.Now(), f)
-		}
-	}()
-	s.Kernel.Start()
-	s.Eng.RunUntil(sim.Time(warmup))
-	snap := s.snapshot()
-	s.Eng.RunUntil(sim.Time(warmup + measure))
-	return s.report(snap, measure), nil
+// It is RunPreemptible with no boundary callback.
+func (s *System) Run(warmup, measure uint64) (*Report, error) {
+	return s.RunPreemptible(warmup, measure, 0, nil)
 }
 
 // RunWindows runs warmupW retention windows of warmup and measureW

@@ -1,12 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
 
 	"refsched/internal/config"
 	"refsched/internal/core"
@@ -34,32 +29,16 @@ type SnapshotStore interface {
 	SaveReport(key string, rep *core.Report)
 }
 
-// checkpointed reports whether the exact-engine cells of this sweep run
-// under the checkpoint driver. Approx cells never checkpoint (there is
-// no event loop to snapshot — and nothing worth resuming).
-func (p Params) checkpointed() bool {
-	if p.mode() != ModeExact {
-		return false
-	}
-	return p.Snapshots != nil || p.CheckpointDir != "" || p.Preempt != nil
-}
-
-// checkpointEvery resolves the boundary cadence for cfg: the knob when
-// set, else four timeslices — frequent enough that a preemption request
-// lands quickly, cheap because boundaries without a snapshot cost only
+// boundaryTimeslices is the checkpoint-boundary cadence of exact cells,
+// in scheduler timeslices: frequent enough that a preemption request
+// lands quickly, cheap because a boundary without a snapshot costs only
 // a leg split.
-func (p Params) checkpointEvery(cfg config.System) uint64 {
-	if p.CheckpointEvery > 0 {
-		return p.CheckpointEvery
-	}
-	return 4 * cfg.Timeslice()
-}
+const boundaryTimeslices = 4
 
 // checkpointKey names a bundle cell for snapshot addressing. It carries
-// every coordinate that changes the cell's simulated result (the
-// remaining knobs — scale, footprint, windows — are validated against
-// the snapshot body on restore), and is filesystem-safe so it doubles
-// as the CheckpointDir file stem.
+// every coordinate that changes the cell's simulated result; the
+// remaining knobs (scale, footprint, windows) are fixed for the
+// lifetime of one store.
 func (p Params) checkpointKey(d config.Density, b bundle, highTemp bool, mix workload.Mix) string {
 	temp := "base"
 	if highTemp {
@@ -68,137 +47,79 @@ func (p Params) checkpointKey(d config.Density, b bundle, highTemp bool, mix wor
 	return fmt.Sprintf("%s_%s_%s_%s_seed%d", d, b.name, mix.Name, temp, p.Seed)
 }
 
-// snapshotMatches validates that a snapshot read from disk was written
-// by this exact cell: same machine config, same run interval, same
-// footprint scale. The in-memory store needs no such check (its keys
-// live and die with one job), but a CheckpointDir survives across
-// invocations with different flags, and resuming a near-miss snapshot
-// would silently produce wrong results.
-func (p Params) snapshotMatches(st *core.SystemState, cfg config.System, warmup, measure uint64, path string) error {
-	want, err := json.Marshal(cfg)
-	if err != nil {
-		return err
+// runExact is the one way an exact-engine cell runs. It builds the
+// system (then applies setup, when non-nil) or restores it from a
+// snapshot in Params.Snapshots, and drives it with HardCtx as the
+// hard-cancellation context. ckey addresses the cell in Snapshots; a
+// cell with no key (a custom cell whose setup a snapshot cannot
+// re-create) never checkpoints. A keyed cell is answered from a stored
+// report when there is one, polls Preempt at every boundary — handing
+// a snapshot to Snapshots and aborting with the preemption error when
+// it fires — and retires its snapshot on completion so a stale one
+// never satisfies a later run. The leg structure and every
+// snapshot/restore cycle are invisible to the simulation: the report
+// is byte-identical to an uninterrupted run's.
+func (p Params) runExact(cfg config.System, mix workload.Mix, ckey string, setup func(*core.System) error) (*core.Report, error) {
+	store := p.Snapshots
+	if ckey == "" {
+		store = nil
 	}
-	got, err := json.Marshal(st.Cfg)
-	if err != nil {
-		return err
-	}
-	if string(got) != string(want) ||
-		st.Warmup != warmup || st.Measure != measure ||
-		st.FootprintScale != p.FootprintScale {
-		return fmt.Errorf("harness: snapshot %s was written for different parameters (delete it to start over)", path)
-	}
-	return nil
-}
-
-// runWithCheckpoints executes one exact-engine cell under the
-// checkpoint driver: restore from a prior snapshot when one exists (the
-// in-memory store first, then the CheckpointDir file), otherwise build
-// fresh; run with a lazy boundary callback that polls Preempt and
-// persists snapshots; and on clean completion retire the cell's
-// snapshots so a stale one never satisfies a later run. The leg
-// structure and every snapshot/restore cycle are invisible to the
-// simulation — the report is byte-identical to Params.run's.
-func (p Params) runWithCheckpoints(cfg config.System, mix workload.Mix, ckey string) (*core.Report, error) {
-	if p.Snapshots != nil {
-		if rep := p.Snapshots.LoadReport(ckey); rep != nil {
+	if store != nil {
+		if rep := store.LoadReport(ckey); rep != nil {
 			return rep, nil
 		}
 	}
 
-	var path string
-	if p.CheckpointDir != "" {
-		path = filepath.Join(p.CheckpointDir, ckey+".snap")
+	var st *core.SystemState
+	if store != nil {
+		st = store.LoadSnapshot(ckey)
 	}
-	w := cfg.TREFW()
-	warmup, measure := uint64(p.WarmupWindows)*w, uint64(p.MeasureWindows)*w
-
-	// Locate a resumable snapshot.
 	var sys *core.System
-	if p.Snapshots != nil {
-		if st := p.Snapshots.LoadSnapshot(ckey); st != nil {
-			s, err := core.Restore(st, core.Options{Ctx: p.HardCtx})
-			if err != nil {
-				return nil, err
-			}
-			sys = s
+	var err error
+	if st != nil {
+		sys, err = core.Restore(st, core.Options{Ctx: p.HardCtx})
+	} else {
+		sys, err = core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
+		if err == nil && setup != nil {
+			err = setup(sys)
 		}
 	}
-	if sys == nil && path != "" {
-		st, err := core.ReadSnapshotFile(path)
-		switch {
-		case err == nil:
-			if err := p.snapshotMatches(st, cfg, warmup, measure, path); err != nil {
-				return nil, err
-			}
-			s, err := core.Restore(st, core.Options{Ctx: p.HardCtx})
-			if err != nil {
-				return nil, err
-			}
-			sys = s
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh run.
-		default:
-			// Corrupt or version-skewed files propagate their typed
-			// refusal rather than being silently recomputed over.
-			return nil, err
-		}
-	}
-
-	resumed := sys != nil
-	if sys == nil {
-		s, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
-		}
-		sys = s
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
 	}
 
 	// The lazy boundary: polling Preempt costs nothing; state capture
-	// happens only when a preemption was requested (snapshot handed to
-	// the store, cell aborted with the preemption error) or when a
-	// CheckpointDir wants crash durability at every boundary.
-	boundary := func(capture func() (*core.SystemState, error)) error {
-		var perr error
-		if p.Preempt != nil {
-			perr = p.Preempt()
-		}
-		if perr == nil && path == "" {
-			return nil
-		}
-		st, err := capture()
-		if err != nil {
-			return err
-		}
-		if perr != nil && p.Snapshots != nil {
-			p.Snapshots.SaveSnapshot(ckey, st)
-		}
-		if path != "" {
-			if err := core.WriteSnapshotFile(path, st); err != nil {
+	// happens only when a preemption was requested.
+	var boundary core.BoundaryFn
+	if ckey != "" && p.Preempt != nil {
+		boundary = func(capture func() (*core.SystemState, error)) error {
+			perr := p.Preempt()
+			if perr == nil || store == nil {
+				return perr
+			}
+			st, err := capture()
+			if err != nil {
 				return err
 			}
+			store.SaveSnapshot(ckey, st)
+			return perr
 		}
-		return perr
 	}
 
+	every := boundaryTimeslices * cfg.Timeslice()
 	var rep *core.Report
-	var err error
-	if resumed {
-		rep, err = sys.ResumePreemptible(p.checkpointEvery(cfg), boundary)
+	if st != nil {
+		rep, err = sys.ResumePreemptible(every, boundary)
 	} else {
-		rep, err = sys.RunPreemptible(warmup, measure, p.checkpointEvery(cfg), boundary)
+		w := cfg.TREFW()
+		rep, err = sys.RunPreemptible(uint64(p.WarmupWindows)*w, uint64(p.MeasureWindows)*w, every, boundary)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if p.Snapshots != nil {
-		p.Snapshots.SaveReport(ckey, rep)
-		p.Snapshots.DropSnapshot(ckey)
-	}
-	if path != "" {
-		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
-		}
+	if store != nil {
+		store.SaveReport(ckey, rep)
+		store.DropSnapshot(ckey)
 	}
 	return rep, nil
 }

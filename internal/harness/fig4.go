@@ -39,14 +39,9 @@ func Fig4(p Params) (*Result, error) {
 						Bundle: fmt.Sprintf("confine%d", k), Seed: p.Seed},
 					run: func() (*core.Report, error) {
 						cfg := p.configFor(d, bundleNone, false)
-						sys, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale})
-						if err != nil {
-							return nil, err
-						}
-						if err := sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), k)); err != nil {
-							return nil, err
-						}
-						return sys.RunWindows(p.WarmupWindows, p.MeasureWindows)
+						return p.runExact(cfg, mix, "", func(sys *core.System) error {
+							return sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), k))
+						})
 					},
 				})
 			}

@@ -62,11 +62,11 @@ type Params struct {
 	// graceful: in-flight cells finish (and are journaled), unstarted
 	// cells are skipped, and the sweep returns the context error.
 	Ctx context.Context
-	// HardCtx, when non-nil, aborts in-flight cells mid-run: the exact
-	// engine checks it at cooperative checkpoints (and chaos stalls
-	// select on it), so cancellation or deadline expiry fails the cell
-	// with a typed error wrapping the context error instead of letting
-	// it run to completion. Contrast Ctx, whose cancellation is
+	// HardCtx, when non-nil, aborts in-flight cells mid-run: every
+	// exact cell's run driver polls it between run legs (and chaos
+	// stalls select on it), so cancellation or deadline expiry fails
+	// the cell with an error wrapping the context error instead of
+	// letting it run to completion. Contrast Ctx, whose cancellation is
 	// graceful. The serving daemon sets it per job to enforce request
 	// deadlines and watchdog kills.
 	HardCtx context.Context
@@ -89,31 +89,17 @@ type Params struct {
 	// Chaos, when non-nil, deterministically injects faults into a
 	// fraction of cells (tests and failure drills only).
 	Chaos *chaos.Injector
-	// CheckpointEvery is the checkpoint-boundary cadence in simulated
-	// cycles for exact-engine cells (0 = four timeslices). Boundaries
-	// alone are free — they only split the engine's run into legs,
-	// which is invisible to the simulation — so this is also the
-	// preemption polling cadence. Only meaningful when checkpointing is
-	// enabled by one of the three knobs below; none of the four
-	// participate in Fingerprint, because checkpointing never changes a
-	// cell's result.
-	CheckpointEvery uint64
-	// CheckpointDir, when non-empty, persists each exact bundle cell's
-	// snapshot to <CheckpointDir>/<cell-key>.snap at every boundary and
-	// resumes from it when present (validated against the cell's
-	// parameters; corrupt or version-skewed files are refused with
-	// typed errors). A cell's snapshot is removed when it completes, so
-	// after a clean sweep the directory is empty.
-	CheckpointDir string
 	// Snapshots, when non-nil, receives mid-run snapshots (on
 	// preemption) and finished reports for exact bundle cells, and is
 	// consulted before running one. The serving daemon's preempt-and-
-	// resume path lives here.
+	// resume path lives here. Neither it nor Preempt participates in
+	// Fingerprint: checkpointing never changes a cell's result.
 	Snapshots SnapshotStore
-	// Preempt, when non-nil, is polled at every checkpoint boundary of
-	// every exact bundle cell. A non-nil return captures a snapshot
-	// into Snapshots (and CheckpointDir, when set) and aborts the cell
-	// with that error — the cooperative preemption point.
+	// Preempt, when non-nil, is polled at every checkpoint boundary
+	// (every four timeslices of simulated time) of every exact bundle
+	// cell. A non-nil return captures a snapshot into Snapshots (when
+	// set) and aborts the cell with that error — the cooperative
+	// preemption point.
 	Preempt func() error
 
 	// CellRunner, when non-nil, replaces the direct runner.RunBatch
@@ -286,12 +272,15 @@ func (p Params) configFor(d config.Density, b bundle, highTemp bool) config.Syst
 	return cfg
 }
 
-// run executes one configuration over one mix. Verbose progress lines
-// are emitted by the sweep collector (see sweep.go), not here, so that
-// parallel workers never interleave output.
-func (p Params) run(cfg config.System, mix workload.Mix) (*core.Report, error) {
+// run executes one configuration over one mix on the selected tier;
+// ckey is the exact cell's snapshot-store key ("" = never checkpoint,
+// see runExact). Verbose progress lines are emitted by the sweep
+// collector (see sweep.go), not here, so that parallel workers never
+// interleave output.
+func (p Params) run(cfg config.System, mix workload.Mix, ckey string) (*core.Report, error) {
 	switch p.Mode {
 	case "", ModeExact:
+		return p.runExact(cfg, mix, ckey, nil)
 	case ModeApprox:
 		rep, err := approx.Predict(cfg, mix)
 		if err != nil {
@@ -301,29 +290,15 @@ func (p Params) run(cfg config.System, mix workload.Mix) (*core.Report, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown mode %q (want %q or %q)", p.Mode, ModeExact, ModeApprox)
 	}
-	sys, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
-	}
-	rep, err := sys.RunWindows(p.WarmupWindows, p.MeasureWindows)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 // runBundle is run with a bundle shorthand. Bundle cells are the
-// checkpointable population: when a snapshot store, checkpoint
-// directory, or preemption hook is configured, they route through the
-// checkpoint driver (byte-identical results either way). Custom-closure
-// cells (fig4's bank masks, ext1's subarray overrides) call run
-// directly and never checkpoint, mirroring their non-remotability.
+// checkpointable population: they carry a snapshot-store key, so a
+// snapshot store or preemption hook applies to them. Custom cells
+// (fig4's bank masks, ext1's subarray overrides, fig15's scenarios)
+// pass no key and never checkpoint, mirroring their non-remotability.
 func (p Params) runBundle(d config.Density, b bundle, highTemp bool, mix workload.Mix) (*core.Report, error) {
-	cfg := p.configFor(d, b, highTemp)
-	if p.checkpointed() {
-		return p.runWithCheckpoints(cfg, mix, p.checkpointKey(d, b, highTemp, mix))
-	}
-	return p.run(cfg, mix)
+	return p.run(p.configFor(d, b, highTemp), mix, p.checkpointKey(d, b, highTemp, mix))
 }
 
 // pct formats a ratio as a percentage string.

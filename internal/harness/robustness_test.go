@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"refsched/internal/chaos"
+	"refsched/internal/config"
 	"refsched/internal/journal"
 )
 
@@ -197,6 +198,36 @@ func TestFig10CancelledContext(t *testing.T) {
 	_, _, err := Fig10(p, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFig4HardCtxAbortsConfineCells: HardCtx reaches every exact cell,
+// fig4's custom bank-confinement cells included, so a cancelled hard
+// context (a daemon deadline or watchdog kill) fails every cell of the
+// sweep instead of letting the custom ones run to completion.
+func TestFig4HardCtxAbortsConfineCells(t *testing.T) {
+	p := tinyParams()
+	p.Scale = 256
+	p.Retries = -1
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.HardCtx = ctx
+	r, err := Fig4(p)
+	if err != nil {
+		t.Fatalf("a hard-cancelled sweep must quarantine its cells, got err = %v", err)
+	}
+	confine := 0
+	for _, f := range r.Failed {
+		if !errors.Is(f.Err, context.Canceled) {
+			t.Errorf("cell %s failed with %v, want context.Canceled", f.Cell, f.Err)
+		}
+		if strings.HasPrefix(f.Cell.Bundle, "confine") {
+			confine++
+		}
+	}
+	// Per density and mix: the all-bank baseline plus four confinements.
+	if want := len(config.Densities) * len(p.sweepMixes()) * 5; len(r.Failed) != want {
+		t.Errorf("%d of %d fig4 cells failed (%d confine cells), want all of them", len(r.Failed), want, confine)
 	}
 }
 

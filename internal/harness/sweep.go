@@ -41,11 +41,10 @@ func (p Params) bundleJob(key string, d config.Density, b bundle, highTemp bool,
 // valid for: every knob that changes a cell's simulated result. Mix
 // selection is deliberately absent — it changes which cells exist, not
 // what any cell computes, and cells are already keyed individually.
-// The checkpoint knobs (CheckpointEvery/CheckpointDir/Snapshots/
-// Preempt) are likewise absent: checkpoint boundaries only split the
-// engine's run into legs and a resumed cell is byte-identical to an
-// uninterrupted one, so a checkpointed run may resume a plain journal
-// and vice versa.
+// The checkpoint knobs (Snapshots/Preempt) are likewise absent:
+// checkpoint boundaries only split the engine's run into legs and a
+// resumed cell is byte-identical to an uninterrupted one, so a
+// checkpointed run may resume a plain journal and vice versa.
 // (Callers keying whole rendered figures — the serving daemon's result
 // cache — must additionally key on the mix selection, since it changes
 // which rows a figure renders.)

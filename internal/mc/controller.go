@@ -533,17 +533,14 @@ func (c *Controller) issue(r *Request, plan dram.AccessPlan, q *[]*Request, idx 
 	}
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
 
-	// Completion re-enters the issuing core. Unowned completions
-	// (posted writes) still execute — as no-ops — so the event
-	// population matches the closure implementation exactly.
-	var owner uint64
+	// Completion re-enters the issuing core; posted writes have no
+	// owner to notify, so they schedule nothing.
 	if r.Owner.Valid {
-		owner = uint64(r.Owner.Core) + 1
+		c.eng.SchedulePAt(plan.DataEnd, sim.Payload{
+			Kind: sim.KindMCComplete, A: uint64(c.ch.ID),
+			B: uint64(r.Owner.Core) + 1, C: r.Owner.Miss, D: r.Owner.Epoch,
+		})
 	}
-	c.eng.SchedulePAt(plan.DataEnd, sim.Payload{
-		Kind: sim.KindMCComplete, A: uint64(c.ch.ID),
-		B: owner, C: r.Owner.Miss, D: r.Owner.Epoch,
-	})
 	c.notifyWaiters()
 }
 

@@ -367,7 +367,6 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 	if cr.Mode != harness.ModeApprox {
 		store = newCellStore(nil)
 		p.Snapshots = store
-		p.CheckpointEvery = s.cfg.CheckpointEvery
 		p.Preempt = func() error {
 			if s.draining.Load() || r.Context().Err() != nil {
 				return errPreempted

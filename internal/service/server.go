@@ -95,14 +95,6 @@ type Config struct {
 	// Watchdog tunes the stalled-job watchdog and the resilience
 	// loop's tick.
 	Watchdog WatchdogConfig
-	// CheckpointEvery is the engine-cycle cadence of checkpoint
-	// boundaries inside exact-mode cells (default: four timeslices; see
-	// harness.Params.CheckpointEvery). Boundaries are where a
-	// preemption request lands: a higher-priority arrival with no free
-	// worker displaces the lowest-priority running exact job at its
-	// next boundary, snapshotting every in-flight cell so the requeued
-	// job resumes mid-cell instead of recomputing.
-	CheckpointEvery uint64
 	// DrainTimeout bounds how long Shutdown waits for in-flight jobs
 	// before cancelling them gracefully (default 30s).
 	DrainTimeout time.Duration
@@ -784,7 +776,7 @@ func (s *Server) execute(j *job) {
 
 	// Per-job cancellation: the soft context (a child of the daemon's
 	// drain context) lets in-flight cells finish; the hard context
-	// aborts them at the next engine checkpoint and interrupts chaos
+	// aborts them at the next run-leg end and interrupts chaos
 	// stalls. The job's deadline bounds both; the watchdog fires both
 	// through j.kill.
 	var softCtx, hardCtx context.Context
@@ -814,7 +806,6 @@ func (s *Server) execute(j *job) {
 		// request takes effect. The leg structure is invisible — a
 		// checkpointed cell's report is byte-identical to a plain run's.
 		p.Snapshots = j.snaps
-		p.CheckpointEvery = s.cfg.CheckpointEvery
 		p.Preempt = func() error {
 			j.boundaries.Add(1)
 			if j.preemptRequested() {

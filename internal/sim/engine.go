@@ -8,6 +8,12 @@
 // engine holds no closures. It executes events serially in (time,
 // insertion-order) order, so the simulation is fully deterministic for
 // a given configuration and seed.
+//
+// The engine has no cancellation hook. An owner that wants to stop a
+// run early splits it into RunUntil legs and decides between legs
+// (internal/core polls its context and preemption callback there);
+// RunUntil(a) followed by RunUntil(b) executes exactly the events of
+// RunUntil(b). The only way out of a leg is a typed Fault (see fault.go).
 package sim
 
 import "math/bits"
@@ -36,9 +42,9 @@ const (
 	// Memory controller (A = channel index).
 	KindMCRefreshTick // periodic refresh scheduling tick
 	KindMCTryIssue    // FR-FCFS issue re-evaluation
-	// Request completion (A = channel, B = core+1 (0 = unowned), C = miss
-	// id, D = miss epoch). Unowned completions (writebacks) still execute
-	// as events so Executed counts match the closure implementation.
+	// Request completion (A = channel, B = core+1, C = miss id, D = miss
+	// epoch). Only owned requests schedule one; B = 0 (an unowned posted
+	// write) appears only in snapshots of older revisions and is a no-op.
 	KindMCComplete
 	// CPU core (A = core index).
 	KindCPUSubmitRead  // B = line addr, C = miss id, D = epoch, E = task id + 1
@@ -130,15 +136,6 @@ type Engine struct {
 	// exec dispatches every event; installed once by the system owner
 	// via SetExec.
 	exec func(Payload)
-
-	// Cooperative cancellation checkpoint (see SetCheckpoint): check is
-	// consulted at most once per checkInterval cycles of clock advance,
-	// so a cancelled context aborts a long simulation within a bounded
-	// amount of simulated (and therefore wall) time without adding any
-	// per-event cost.
-	check         func() error
-	checkInterval Time
-	nextCheck     Time
 
 	// Executed counts events processed since construction; useful for
 	// progress reporting and runaway detection in tests.
@@ -339,28 +336,6 @@ func (e *Engine) drainTo(t Time) {
 	}
 }
 
-// SetCheckpoint installs a cooperative cancellation hook: RunUntil
-// calls fn at most once per interval cycles of clock advance, and a
-// non-nil return unwinds the event loop as a *CancelFault (a typed
-// sim.Fault, so the core run boundary converts it into an ordinary
-// cell-tagged error instead of crashing the sweep). It is how an
-// external deadline or watchdog aborts a long simulation mid-run: the
-// hot path pays one nil-check per clock advance when no checkpoint is
-// installed, and nothing per event either way. A nil fn removes the
-// checkpoint.
-func (e *Engine) SetCheckpoint(interval Time, fn func() error) {
-	if fn == nil {
-		e.check = nil
-		return
-	}
-	if interval == 0 {
-		interval = 1
-	}
-	e.check = fn
-	e.checkInterval = interval
-	e.nextCheck = e.now + interval
-}
-
 // RunUntil executes events until the clock would pass t, then sets the
 // clock to exactly t. Events scheduled at exactly t are executed.
 func (e *Engine) RunUntil(t Time) {
@@ -402,12 +377,6 @@ func (e *Engine) run(t Time) {
 			return
 		}
 		e.now = w
-		if e.check != nil && e.now >= e.nextCheck {
-			e.nextCheck = e.now + e.checkInterval
-			if err := e.check(); err != nil {
-				panic(&CancelFault{Now: e.now, Err: err})
-			}
-		}
 		e.drainTo(w)
 	}
 }

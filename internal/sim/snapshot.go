@@ -85,7 +85,4 @@ func (e *Engine) RestoreState(st *EngineState) {
 	}
 	e.seq = st.Seq
 	e.Executed = st.Executed
-	if e.check != nil {
-		e.nextCheck = e.now + e.checkInterval
-	}
 }
